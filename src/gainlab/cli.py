@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from math import gcd
 
-from .bigmath import gcd3, ipow, round_sig
+from .bigmath import round_sig
 from .factor import FactorBudgetExceeded
 from .gains import (
     GainReport,
@@ -55,29 +55,19 @@ EXIT_RESOURCE = 3
 
 FORMATS = ("json", "csv", "human")
 
+# Significant digits of every displayed real.
+DISPLAY_DIGITS = 6
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus its parameters."""
-
-    command: str
-    output_format: str = "human"
-    precision_digits: int = 6
-    qmax: Decimal | None = None
-    n: int | None = None
-    x: int | None = None
-    y: int | None = None
-    A: int | None = None
-    B: int | None = None
-    k: int | None = None
-    n_range: tuple[int, int] | None = None
-    x_range: tuple[int, int] | None = None
-    y_range: tuple[int, int] | None = None
-    A_range: tuple[int, int] | None = None
-    B_range: tuple[int, int] | None = None
-    k_range: tuple[int, int] | None = None
-    q_threshold: Decimal | None = None
-    allow_trivial_x: bool = False
+# Sections and columns of a solution report, in output order.
+REPORT_SCHEMA = {
+    "solution": ("n", "x", "y", "A", "B", "k", "trivial_x"),
+    "terms": ("C", "P", "radical_P"),
+    "gains": ("G_a", "G_p", "q"),
+    "bounds": (
+        "ga_min", "q_min", "gp_max_strong", "gp_max_ultra", "gp_max_custom", "k1_q_bound",
+    ),
+    "checks": ("identity", "coprime", "thm1_holds", "thm5_holds"),
+}
 
 
 def _int_arg(text: str) -> int:
@@ -100,21 +90,23 @@ def _range_arg(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _qmax_arg(text: str) -> Decimal:
+def _qmax_arg(text: str) -> QMax:
     try:
-        value = Decimal(text)
+        return custom_qmax(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("qmax must be positive")
-    return value
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _threshold_arg(text: str) -> Decimal:
     try:
-        return Decimal(text)
+        value = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,145 +119,106 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format(command: argparse.ArgumentParser) -> None:
+        command.add_argument(
+            "--format", dest="output_format", choices=FORMATS, default="human"
+        )
+
     analyze = sub.add_parser("analyze", help="analyze one solution tuple")
     for name in ("n", "x", "y", "A", "B", "k"):
         analyze.add_argument(f"--{name}", type=_int_arg, required=True)
-    analyze.add_argument("--format", choices=FORMATS, default="human")
+    add_format(analyze)
     analyze.add_argument("--qmax", type=_qmax_arg, default=None)
 
     bounds = sub.add_parser("bounds", help="evaluate bounds for parameters")
     for name in ("n", "A", "B", "y"):
         bounds.add_argument(f"--{name}", type=_int_arg, required=True)
-    bounds.add_argument("--format", choices=FORMATS, default="human")
+    add_format(bounds)
     bounds.add_argument("--qmax", type=_qmax_arg, default=None)
 
     search = sub.add_parser("search", help="enumerate a box with fixed k")
     for name in ("n", "x", "y", "A", "B", "k"):
-        search.add_argument(f"--{name}", type=_range_arg, required=True, metavar="LO:HI")
+        search.add_argument(
+            f"--{name}", dest=f"{name}_range", type=_range_arg, required=True, metavar="LO:HI"
+        )
     search.add_argument("--allow-trivial-x", action="store_true")
-    search.add_argument("--format", choices=FORMATS, default="human")
+    add_format(search)
+    search.set_defaults(mode=FIXED_K, q_threshold=None)
 
     hunt = sub.add_parser("hunt", help="enumerate a box with derived k")
     for name in ("n", "x", "y", "A", "B"):
-        hunt.add_argument(f"--{name}", type=_range_arg, required=True, metavar="LO:HI")
+        hunt.add_argument(
+            f"--{name}", dest=f"{name}_range", type=_range_arg, required=True, metavar="LO:HI"
+        )
     hunt.add_argument("--q-threshold", type=_threshold_arg, default=None)
     hunt.add_argument("--allow-trivial-x", action="store_true")
-    hunt.add_argument("--format", choices=FORMATS, default="human")
+    add_format(hunt)
+    hunt.set_defaults(mode=DERIVED_K, k_range=None)
 
     verify = sub.add_parser("verify-corpus", help="verify the built-in corpus")
-    verify.add_argument("--format", choices=FORMATS, default="human")
+    add_format(verify)
 
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    command = ns.command
-    if command == "analyze":
-        return RunConfig(
-            command=command,
-            output_format=ns.format,
-            qmax=ns.qmax,
-            n=ns.n,
-            x=ns.x,
-            y=ns.y,
-            A=ns.A,
-            B=ns.B,
-            k=ns.k,
-        )
-    if command == "bounds":
-        return RunConfig(
-            command=command,
-            output_format=ns.format,
-            qmax=ns.qmax,
-            n=ns.n,
-            A=ns.A,
-            B=ns.B,
-            y=ns.y,
-        )
-    if command == "search":
-        return RunConfig(
-            command=command,
-            output_format=ns.format,
-            n_range=ns.n,
-            x_range=ns.x,
-            y_range=ns.y,
-            A_range=ns.A,
-            B_range=ns.B,
-            k_range=ns.k,
-            allow_trivial_x=ns.allow_trivial_x,
-        )
-    if command == "hunt":
-        return RunConfig(
-            command=command,
-            output_format=ns.format,
-            n_range=ns.n,
-            x_range=ns.x,
-            y_range=ns.y,
-            A_range=ns.A,
-            B_range=ns.B,
-            q_threshold=ns.q_threshold,
-            allow_trivial_x=ns.allow_trivial_x,
-        )
-    return RunConfig(command=command, output_format=ns.format)
+def parse_args(argv=None) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
 
 
-def _display(value: Decimal | None, digits: int) -> str | None:
+def _display(value: Decimal | None, digits: int = DISPLAY_DIGITS) -> str | None:
     if value is None:
         return None
     # format(..., "f") keeps plain decimal notation at any magnitude.
     return format(round_sig(value, digits), "f")
 
 
+def _report_doc(fields: dict) -> dict:
+    """Group flat report fields into REPORT_SCHEMA's sections.
+
+    A missing field is None.  gp_max_custom is left out when no custom cap
+    was given, so _report_doc({}) has the columns of every search report.
+    """
+    doc = {
+        section: {name: fields.get(name) for name in names}
+        for section, names in REPORT_SCHEMA.items()
+    }
+    if doc["bounds"]["gp_max_custom"] is None:
+        del doc["bounds"]["gp_max_custom"]
+    return doc
+
+
 def solution_report(
     s: Solution,
     g: GainReport,
-    digits: int = 6,
+    digits: int = DISPLAY_DIGITS,
 ) -> dict:
     """The per-solution report document, keys in fixed order."""
-    axn = s.A * ipow(s.x, s.n)
-    dominant = g.C > axn
-    identity_ok = g.C == axn + s.k
-    coprime_ok = gcd3(s.A * s.x, s.B * s.y, s.k) == 1
-    ga_bound_ok = bool(dominant and g.G_a > g.ga_min)
-    q_bound_ok = None if g.q is None else bool(g.q > g.q_min)
-    bounds = {
+    axn = s.A * s.x ** s.n
+    return _report_doc({
+        "n": str(s.n),
+        "x": str(s.x),
+        "y": str(s.y),
+        "A": str(s.A),
+        "B": str(s.B),
+        "k": str(s.k),
+        "trivial_x": s.trivial_x,
+        "C": str(g.C),
+        "P": str(g.P),
+        "radical_P": None if g.R is None else str(g.R),
+        "G_a": _display(g.G_a, digits),
+        "G_p": _display(g.G_p, digits),
+        "q": _display(g.q, digits),
         "ga_min": _display(g.ga_min, digits),
         "q_min": _display(g.q_min, digits),
         "gp_max_strong": _display(g.gp_max_strong, digits),
         "gp_max_ultra": _display(g.gp_max_ultra, digits),
-    }
-    if g.gp_max_custom is not None:
-        bounds["gp_max_custom"] = _display(g.gp_max_custom, digits)
-    bounds["k1_q_bound"] = _display(g.k1_q_bound, digits)
-    return {
-        "solution": {
-            "n": str(s.n),
-            "x": str(s.x),
-            "y": str(s.y),
-            "A": str(s.A),
-            "B": str(s.B),
-            "k": str(s.k),
-            "trivial_x": s.trivial_x,
-        },
-        "terms": {
-            "C": str(g.C),
-            "P": str(g.P),
-            "radical_P": None if g.R is None else str(g.R),
-        },
-        "gains": {
-            "G_a": _display(g.G_a, digits),
-            "G_p": _display(g.G_p, digits),
-            "q": _display(g.q, digits),
-        },
-        "bounds": bounds,
-        "checks": {
-            "identity": identity_ok,
-            "coprime": coprime_ok,
-            "thm1_holds": ga_bound_ok,
-            "thm5_holds": q_bound_ok,
-        },
-    }
+        "gp_max_custom": _display(g.gp_max_custom, digits),
+        "k1_q_bound": _display(g.k1_q_bound, digits),
+        "identity": g.C == axn + s.k,
+        "coprime": gcd(s.A * s.x, s.B * s.y, s.k) == 1,
+        "thm1_holds": bool(g.C > axn and g.G_a > g.ga_min),
+        "thm5_holds": None if g.q is None else bool(g.q > g.q_min),
+    })
 
 
 def _csv_cell(value) -> str:
@@ -278,60 +231,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _flatten_solution_report(doc: dict) -> list:
-    row: list = []
-    for section in doc.values():
-        row.extend(section.values())
-    return row
+def _csv_header(doc: dict) -> str:
+    return ",".join(name for section in doc.values() for name in section)
 
 
-def _solution_csv_header(doc: dict) -> list[str]:
-    names: list[str] = []
-    for section in doc.values():
-        names.extend(section.keys())
-    return names
+def _csv_row(doc: dict) -> str:
+    return ",".join(_csv_cell(v) for section in doc.values() for v in section.values())
 
 
-def _emit_single_report(doc: dict, fmt: str) -> None:
-    """Write one solution report document to stdout."""
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-        return
-    if fmt == "csv":
-        print(",".join(_solution_csv_header(doc)))
-        print(",".join(_csv_cell(v) for v in _flatten_solution_report(doc)))
-        return
-    for section, fields in doc.items():
-        pairs = "  ".join(f"{k}={_csv_cell(v)}" for k, v in fields.items())
-        print(f"{section:<9} {pairs}")
-
-
-def _empty_csv_header() -> list[str]:
-    sections = {
-        "solution": ("n", "x", "y", "A", "B", "k", "trivial_x"),
-        "terms": ("C", "P", "radical_P"),
-        "gains": ("G_a", "G_p", "q"),
-        "bounds": ("ga_min", "q_min", "gp_max_strong", "gp_max_ultra", "k1_q_bound"),
-        "checks": ("identity", "coprime", "thm1_holds", "thm5_holds"),
-    }
-    names: list[str] = []
-    for cols in sections.values():
-        names.extend(cols)
-    return names
-
-
-def _run_analyze(config: RunConfig) -> int:
-    q_custom = custom_qmax(config.qmax) if config.qmax is not None else None
+def _run_analyze(args: argparse.Namespace) -> int:
     try:
-        s = validate_solution(config.n, config.x, config.y, config.A, config.B, config.k)
+        s = validate_solution(args.n, args.x, args.y, args.A, args.B, args.k)
     except SolutionError as err:
-        _emit_validation_failure(err, config.output_format)
+        _emit_validation_failure(err, args.output_format)
         return EXIT_INVALID
     except (TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        g = compute_gains(s, q_max_custom=q_custom)
+        g = compute_gains(s, q_max_custom=args.qmax)
     except FactorBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -339,8 +257,17 @@ def _run_analyze(config: RunConfig) -> int:
         # e.g. an unparseable GAINLAB_FACTOR_BUDGET setting
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    doc = solution_report(s, g, config.precision_digits)
-    _emit_single_report(doc, config.output_format)
+    doc = solution_report(s, g)
+    fmt = args.output_format
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    elif fmt == "csv":
+        print(_csv_header(doc))
+        print(_csv_row(doc))
+    else:
+        for section, fields in doc.items():
+            pairs = "  ".join(f"{k}={_csv_cell(v)}" for k, v in fields.items())
+            print(f"{section:<9} {pairs}")
     return EXIT_OK
 
 
@@ -370,9 +297,8 @@ def _emit_validation_failure(err: SolutionError, fmt: str) -> None:
         print(f"  {v.kind}: {v.detail}")
 
 
-def _run_bounds(config: RunConfig) -> int:
-    n, A, B, y = config.n, config.A, config.B, config.y
-    digits = config.precision_digits
+def _run_bounds(args: argparse.Namespace) -> int:
+    n, A, B, y, cap = args.n, args.A, args.B, args.y, args.qmax
     try:
         ga = ga_lower_bound(n, A, B, y)
         qmin = q_lower_bound(n, A, B, y)
@@ -384,25 +310,24 @@ def _run_bounds(config: RunConfig) -> int:
         return EXIT_USAGE
     gp_custom = None
     max_n_custom = None
-    if config.qmax is not None:
-        cap = custom_qmax(config.qmax)
+    if cap is not None:
         gp_custom = gp_upper_bound(n, A, B, y, cap)
         try:
             max_n_custom = max_admissible_exponent(cap)
         except ValueError:
             max_n_custom = None  # cap <= 1 excludes every exponent
     bounds = {
-        "ga_min": _display(ga, digits),
-        "q_min": _display(qmin, digits),
-        "gp_max_strong": _display(gp_strong, digits),
-        "gp_max_ultra": _display(gp_ultra, digits),
+        "ga_min": _display(ga),
+        "q_min": _display(qmin),
+        "gp_max_strong": _display(gp_strong),
+        "gp_max_ultra": _display(gp_ultra),
     }
     if gp_custom is not None:
-        bounds["gp_max_custom"] = _display(gp_custom, digits)
-    bounds["k1_q_bound"] = _display(k1, digits)
+        bounds["gp_max_custom"] = _display(gp_custom)
+    bounds["k1_q_bound"] = _display(k1)
     bounds["max_admissible_exponent_strong"] = max_admissible_exponent(QMAX_STRONG)
     bounds["max_admissible_exponent_ultra"] = max_admissible_exponent(QMAX_ULTRA)
-    if config.qmax is not None:
+    if cap is not None:
         bounds["max_admissible_exponent_custom"] = max_n_custom
     doc = {
         "params": {
@@ -410,21 +335,16 @@ def _run_bounds(config: RunConfig) -> int:
             "A": str(A),
             "B": str(B),
             "y": str(y),
-            "q_max_custom": None if config.qmax is None else str(config.qmax),
+            "q_max_custom": None if cap is None else str(cap.value),
         },
         "bounds": bounds,
     }
-    fmt = config.output_format
+    fmt = args.output_format
     if fmt == "json":
         print(json.dumps(doc, indent=2))
     elif fmt == "csv":
-        names: list[str] = []
-        values: list = []
-        for section in doc.values():
-            names.extend(section.keys())
-            values.extend(section.values())
-        print(",".join(names))
-        print(",".join(_csv_cell(v) for v in values))
+        print(_csv_header(doc))
+        print(_csv_row(doc))
     else:
         for section, fields in doc.items():
             print(f"{section}:")
@@ -433,23 +353,19 @@ def _run_bounds(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _search_box_from(config: RunConfig, mode: str) -> SearchBox:
-    return SearchBox(
-        n_range=config.n_range,
-        x_range=config.x_range,
-        y_range=config.y_range,
-        A_range=config.A_range,
-        B_range=config.B_range,
-        mode=mode,
-        k_range=config.k_range,
-        q_threshold=config.q_threshold,
-        require_nontrivial=not config.allow_trivial_x,
+def _run_box(args: argparse.Namespace) -> int:
+    box = SearchBox(
+        n_range=args.n_range,
+        x_range=args.x_range,
+        y_range=args.y_range,
+        A_range=args.A_range,
+        B_range=args.B_range,
+        mode=args.mode,
+        k_range=args.k_range,
+        q_threshold=args.q_threshold,
+        require_nontrivial=not args.allow_trivial_x,
     )
-
-
-def _run_box_command(config: RunConfig, mode: str) -> int:
-    box = _search_box_from(config, mode)
-    runner = enumerate_fixed_k if mode == FIXED_K else hunt_derived_k
+    runner = enumerate_fixed_k if args.mode == FIXED_K else hunt_derived_k
     try:
         result: SearchResult = runner(box)
     except BoxTooLarge as err:
@@ -458,8 +374,8 @@ def _run_box_command(config: RunConfig, mode: str) -> int:
     except (TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    docs = [solution_report(s, g, config.precision_digits) for s, g in result.solutions]
-    _emit_search_output(docs, result, config.output_format)
+    docs = [solution_report(s, g) for s, g in result.solutions]
+    _emit_search_output(docs, result, args.output_format)
     print(
         f"scanned {result.cells_scanned} cells in {result.duration:.3f}s, "
         f"{len(result.solutions)} solutions",
@@ -474,10 +390,9 @@ def _emit_search_output(docs: list[dict], result: SearchResult, fmt: str) -> Non
         print(json.dumps(payload, indent=2))
         return
     if fmt == "csv":
-        header = _solution_csv_header(docs[0]) if docs else _empty_csv_header()
-        print(",".join(header))
+        print(_csv_header(docs[0] if docs else _report_doc({})))
         for doc in docs:
-            print(",".join(_csv_cell(v) for v in _flatten_solution_report(doc)))
+            print(_csv_row(doc))
         return
     if not docs:
         print("no solutions")
@@ -491,8 +406,7 @@ def _emit_search_output(docs: list[dict], result: SearchResult, fmt: str) -> Non
     print(f"cells_scanned: {result.cells_scanned}")
 
 
-def _run_verify_corpus(config: RunConfig) -> int:
-    digits = config.precision_digits
+def _run_verify_corpus(args: argparse.Namespace) -> int:
     entries = []
     for entry in builtin_corpus():
         try:
@@ -510,7 +424,7 @@ def _run_verify_corpus(config: RunConfig) -> int:
             elif isinstance(verdict.actual, int):
                 shown = str(verdict.actual)
             else:
-                shown = _display(verdict.actual, digits)
+                shown = _display(verdict.actual)
             quantities[qty] = {
                 "expected": str(verdict.expected),
                 "tolerance": str(verdict.tolerance),
@@ -533,7 +447,7 @@ def _run_verify_corpus(config: RunConfig) -> int:
                 "quantities": quantities,
             }
         )
-    fmt = config.output_format
+    fmt = args.output_format
     if fmt == "json":
         print(json.dumps({"entries": entries}, indent=2))
     elif fmt == "csv":
@@ -565,30 +479,23 @@ def _run_verify_corpus(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
-    if config.command == "analyze":
-        return _run_analyze(config)
-    if config.command == "bounds":
-        return _run_bounds(config)
-    if config.command == "search":
-        return _run_box_command(config, FIXED_K)
-    if config.command == "hunt":
-        return _run_box_command(config, DERIVED_K)
-    if config.command == "verify-corpus":
-        return _run_verify_corpus(config)
-    print(f"error: unknown command {config.command!r}", file=sys.stderr)
-    return EXIT_USAGE
+_COMMANDS = {
+    "analyze": _run_analyze,
+    "bounds": _run_bounds,
+    "search": _run_box,
+    "hunt": _run_box,
+    "verify-corpus": _run_verify_corpus,
+}
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exit_:
         # argparse exits 2 on usage errors and 0 for --help.
         code = exit_.code
         return code if isinstance(code, int) else EXIT_USAGE
-    return run(config)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from math import gcd
 
-from .bigmath import CTX, gcd3, ipow
+from .bigmath import CTX
 from .gains import GainReport, Solution, compute_gains, validate_solution
 
 PASS = "pass"
@@ -41,7 +42,7 @@ class CorpusEntry:
 
     @property
     def k_derived(self) -> int:
-        return self.B * ipow(self.y, self.n) - self.A * ipow(self.x, self.n)
+        return self.B * self.y ** self.n - self.A * self.x ** self.n
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +168,7 @@ def verify_entry(e: CorpusEntry, budget: int | None = None) -> VerificationRepor
     else:
         consistency["printed_k"] = PASS if e.k_printed == kd else FAIL
     if identity_ok:
-        coprime_ok = gcd3(e.A * e.x, e.B * e.y, kd) == 1
+        coprime_ok = gcd(e.A * e.x, e.B * e.y, kd) == 1
         consistency["coprimality"] = PASS if coprime_ok else FAIL
     else:
         consistency["coprimality"] = NOT_APPLICABLE

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from math import gcd
 
-from .bigmath import CTX, gcd3, ipow, ln_cached
+from .bigmath import CTX, ln_cached
 from .factor import radical_of_product
 
 NON_TRIVIAL = "non_trivial"
@@ -103,6 +104,8 @@ class QMax:
     def __post_init__(self) -> None:
         if not isinstance(self.value, Decimal):
             raise TypeError("QMax.value must be a Decimal")
+        if not self.value.is_finite():
+            raise ValueError("QMax.value must be finite")
         if self.value <= 0:
             raise ValueError("QMax.value must be positive")
 
@@ -175,7 +178,7 @@ def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Validation
 
     # 0**0 never arises here: n = 0 is already a range violation above.
     if n >= 1:
-        residual = B * ipow(y, n) - A * ipow(x, n) - k
+        residual = B * y ** n - A * x ** n - k
         if residual != 0:
             violations.append(
                 Violation(
@@ -184,7 +187,7 @@ def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Validation
                     residual=residual,
                 )
             )
-    g = gcd3(A * x, B * y, k)
+    g = gcd(A * x, B * y, k)
     if g != 1:
         violations.append(
             Violation(
@@ -290,7 +293,7 @@ def _bounds_cached(n: int, A: int, B: int, y: int) -> tuple[Decimal, Decimal, De
 
 
 def _build_report(s: Solution, R: int | None, q_max_custom: QMax | None) -> GainReport:
-    C = s.B * ipow(s.y, s.n)
+    C = s.B * s.y ** s.n
     P = s.x * s.y * s.A * s.B * s.k
     if P == 1:
         # Unreachable for a valid Solution (y >= 2), but the ratio would be

@@ -87,6 +87,13 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> None:
         raise ValueError(f"{name} lower bound {lo} violates minimum {minimum}")
 
 
+def _floored(box: SearchBox) -> SearchBox:
+    """Apply the non-triviality floor to x (trivial x = 1 tuples are skipped)."""
+    if box.require_nontrivial and box.x_range[0] < 2:
+        return replace(box, x_range=(2, box.x_range[1]))
+    return box
+
+
 def _normalized(box: SearchBox, expected_mode: str) -> SearchBox:
     """Validate the box and apply the non-triviality floor to x."""
     if box.mode != expected_mode:
@@ -100,9 +107,7 @@ def _normalized(box: SearchBox, expected_mode: str) -> SearchBox:
         if box.k_range is None:
             raise ValueError("fixed_k mode requires k_range")
         _check_range("k_range", box.k_range, 1)
-    if box.require_nontrivial and box.x_range[0] < 2:
-        box = replace(box, x_range=(2, box.x_range[1]))
-    return box
+    return _floored(box)
 
 
 def _axis_width(box: SearchBox, axis: str) -> int:
@@ -124,87 +129,83 @@ def iterated_axes(mode: str) -> tuple[str, ...]:
 
 def cell_count(box: SearchBox) -> int:
     """Number of tuples the mode's loops visit (after the x floor)."""
+    floored = _floored(box)
     out = 1
-    probe = box
-    if probe.require_nontrivial and probe.x_range[0] < 2 and probe.x_range[1] >= 2:
-        probe = replace(probe, x_range=(2, probe.x_range[1]))
-    elif probe.require_nontrivial and probe.x_range[1] < 2:
-        return 0
     for axis in iterated_axes(box.mode):
-        out *= _axis_width(probe, axis)
+        out *= _axis_width(floored, axis)
     return out
 
 
 class _Progress:
-    """Liveness ticks to stderr every PROGRESS_INTERVAL scanned cells."""
+    """Scanned-cell count, with liveness ticks to stderr every PROGRESS_INTERVAL cells."""
 
-    __slots__ = ("scanned", "_next", "_total")
+    __slots__ = ("scanned", "_next", "_total", "_found")
 
-    def __init__(self, total: int):
+    def __init__(self, total: int, found: list):
         self.scanned = 0
         self._next = PROGRESS_INTERVAL
         self._total = total
+        self._found = found
 
-    def advance(self, cells: int, found: int) -> None:
+    def advance(self, cells: int) -> None:
         self.scanned += cells
         if self.scanned >= self._next:
             print(
-                f"progress: {self.scanned}/{self._total} cells, {found} solutions",
+                f"progress: {self.scanned}/{self._total} cells, {len(self._found)} solutions",
                 file=sys.stderr,
             )
             while self._next <= self.scanned:
                 self._next += PROGRESS_INTERVAL
 
 
-def _gains_or_partial(s: Solution, budget: int | None):
-    try:
-        return compute_gains(s, budget=budget)
-    except FactorBudgetExceeded:
-        # The solution itself is exact; only radical-dependent fields are
-        # unavailable, and they are reported as such rather than dropped.
-        return compute_gains_partial(s)
-
-
-def _canonical(item: tuple[Solution, GainReport]):
-    return item[0].canonical_key()
-
-
-def _quality_order(item: tuple[Solution, GainReport]):
-    q = item[1].q
+def _hunt_order(item: tuple[Solution, GainReport]):
+    s, g = item
     # Unknown quality (budget-exceeded partial reports) sorts after every
-    # known quality; canonical order breaks remaining ties via stability.
-    if q is None:
-        return (1, Decimal(0))
-    return (0, -q)
+    # known quality; canonical order breaks the remaining ties.
+    if g.q is None:
+        return (1, Decimal(0), s.canonical_key())
+    return (0, -g.q, s.canonical_key())
 
 
-def _sort_fixed(items: list) -> None:
-    items.sort(key=_canonical)
+# Output order of each mode: canonical for fixed_k, best quality first for derived_k.
+_ORDER = {
+    FIXED_K: lambda item: item[0].canonical_key(),
+    DERIVED_K: _hunt_order,
+}
 
 
-def _sort_hunt(items: list) -> None:
-    items.sort(key=_canonical)
-    items.sort(key=_quality_order)
+def _scan(box: SearchBox, mode: str, ceiling: int, budget: int | None, cells) -> SearchResult:
+    """Validate the box, report every candidate that cells yields, filter, sort.
 
-
-def enumerate_fixed_k(
-    box: SearchBox,
-    *,
-    cell_ceiling: int = DEFAULT_CELL_CEILING,
-    budget: int | None = None,
-) -> SearchResult:
-    """All solutions with every parameter inside the box, k iterated.
-
-    For each (n, A, B, x, k) the only possible y satisfies
-    y^n = (A*x^n + k) / B, so B must divide the sum and the candidate
-    y = nth_root_floor of the quotient is verified by exact powering.
-    No float ever decides membership.
+    cells(box, progress) is a generator over the normalized box that yields
+    (n, x, y, A, B, k) for each coprime candidate of the mode and counts its
+    cells on progress.  In derived_k mode only, a q_threshold drops reports
+    of lower known quality.
     """
-    b = _normalized(box, FIXED_K)
+    b = _normalized(box, mode)
     total = cell_count(b)
-    if total > cell_ceiling:
-        raise BoxTooLarge(total, cell_ceiling)
+    if total > ceiling:
+        raise BoxTooLarge(total, ceiling)
     t0 = perf_counter()
+    threshold = b.q_threshold if mode == DERIVED_K else None
+    out: list[tuple[Solution, GainReport]] = []
+    progress = _Progress(total, out)
+    for n, x, y, A, B, k in cells(b, progress):
+        s = validate_solution(n, x, y, A, B, k)
+        try:
+            report = compute_gains(s, budget=budget)
+        except FactorBudgetExceeded:
+            # The solution itself is exact; only radical-dependent fields are
+            # unavailable, and they are reported as such rather than dropped.
+            report = compute_gains_partial(s)
+        if threshold is not None and report.q is not None and report.q < threshold:
+            continue
+        out.append((s, report))
+    out.sort(key=_ORDER[mode])
+    return SearchResult(tuple(out), progress.scanned, perf_counter() - t0)
+
+
+def _fixed_k_cells(b: SearchBox, progress: _Progress):
     n_lo, n_hi = b.n_range
     x_lo, x_hi = b.x_range
     y_lo, y_hi = b.y_range
@@ -212,8 +213,6 @@ def enumerate_fixed_k(
     b_lo, b_hi = b.B_range
     k_lo, k_hi = b.k_range
     k_width = k_hi - k_lo + 1
-    out: list[tuple[Solution, GainReport]] = []
-    progress = _Progress(total)
     for n in range(n_lo, n_hi + 1):
         xpow = {x: x ** n for x in range(x_lo, x_hi + 1)}
         for A in range(a_lo, a_hi + 1):
@@ -233,41 +232,34 @@ def enumerate_fixed_k(
                             continue
                         if gcd(ax, B * y, k) != 1:
                             continue
-                        s = validate_solution(n, x, y, A, B, k)
-                        out.append((s, _gains_or_partial(s, budget)))
-                    progress.advance(k_width, len(out))
-    _sort_fixed(out)
-    return SearchResult(tuple(out), total, perf_counter() - t0)
+                        yield n, x, y, A, B, k
+                    progress.advance(k_width)
 
 
-def hunt_derived_k(
+def enumerate_fixed_k(
     box: SearchBox,
     *,
     cell_ceiling: int = DEFAULT_CELL_CEILING,
     budget: int | None = None,
 ) -> SearchResult:
-    """All solutions with k derived as B*y^n - A*x^n, ranked by quality.
+    """All solutions with every parameter inside the box, k iterated.
 
-    Tuples with k < 1 are skipped (the dominant-term requirement), the
-    coprimality gate is exact, and an optional q_threshold keeps only
-    solutions with q >= threshold.  Output is sorted by descending q with
-    canonical order breaking ties.
+    For each (n, A, B, x, k) the only possible y satisfies
+    y^n = (A*x^n + k) / B, so B must divide the sum and the candidate
+    y = nth_root_floor of the quotient is verified by exact powering.
+    No float ever decides membership.
     """
-    b = _normalized(box, DERIVED_K)
-    total = cell_count(b)
-    if total > cell_ceiling:
-        raise BoxTooLarge(total, cell_ceiling)
-    t0 = perf_counter()
+    return _scan(box, FIXED_K, cell_ceiling, budget, _fixed_k_cells)
+
+
+def _derived_k_cells(b: SearchBox, progress: _Progress):
     n_lo, n_hi = b.n_range
     x_lo, x_hi = b.x_range
     y_lo, y_hi = b.y_range
     a_lo, a_hi = b.A_range
     b_lo, b_hi = b.B_range
-    threshold = b.q_threshold
     xs = range(x_lo, x_hi + 1)
     x_width = x_hi - x_lo + 1
-    out: list[tuple[Solution, GainReport]] = []
-    progress = _Progress(total)
     for n in range(n_lo, n_hi + 1):
         xpow = [x ** n for x in xs]
         ypow = {y: y ** n for y in range(y_lo, y_hi + 1)}
@@ -284,15 +276,57 @@ def hunt_derived_k(
                             continue
                         if gcd(ax_list[i], by, k) != 1:
                             continue
-                        s = validate_solution(n, x_lo + i, y, A, B, k)
-                        report = _gains_or_partial(s, budget)
-                        if threshold is not None and report.q is not None:
-                            if report.q < threshold:
+                        yield n, x_lo + i, y, A, B, k
+                    progress.advance(x_width)
+
+
+def hunt_derived_k(
+    box: SearchBox,
+    *,
+    cell_ceiling: int = DEFAULT_CELL_CEILING,
+    budget: int | None = None,
+) -> SearchResult:
+    """All solutions with k derived as B*y^n - A*x^n, ranked by quality.
+
+    Tuples with k < 1 are skipped (the dominant-term requirement), the
+    coprimality gate is exact, and an optional q_threshold keeps only
+    solutions with q >= threshold.  Output is sorted by descending q with
+    canonical order breaking ties.
+    """
+    return _scan(box, DERIVED_K, cell_ceiling, budget, _derived_k_cells)
+
+
+def _oracle_cells(b: SearchBox, progress: _Progress):
+    n_lo, n_hi = b.n_range
+    x_lo, x_hi = b.x_range
+    y_lo, y_hi = b.y_range
+    a_lo, a_hi = b.A_range
+    b_lo, b_hi = b.B_range
+    if b.mode == FIXED_K:
+        k_lo, k_hi = b.k_range
+        for n in range(n_lo, n_hi + 1):
+            for A in range(a_lo, a_hi + 1):
+                for B in range(b_lo, b_hi + 1):
+                    for x in range(x_lo, x_hi + 1):
+                        for k in range(k_lo, k_hi + 1):
+                            progress.scanned += y_hi - y_lo + 1
+                            left = A * x ** n + k
+                            for y in range(y_lo, y_hi + 1):
+                                if B * y ** n == left and gcd(A * x, B * y, k) == 1:
+                                    yield n, x, y, A, B, k
+    else:
+        for n in range(n_lo, n_hi + 1):
+            for A in range(a_lo, a_hi + 1):
+                for B in range(b_lo, b_hi + 1):
+                    for x in range(x_lo, x_hi + 1):
+                        for y in range(y_lo, y_hi + 1):
+                            progress.scanned += 1
+                            k = B * y ** n - A * x ** n
+                            if k < 1:
                                 continue
-                        out.append((s, report))
-                    progress.advance(x_width, len(out))
-    _sort_hunt(out)
-    return SearchResult(tuple(out), total, perf_counter() - t0)
+                            if gcd(A * x, B * y, k) != 1:
+                                continue
+                            yield n, x, y, A, B, k
 
 
 def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchResult:
@@ -301,56 +335,10 @@ def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchRe
     Matches the mode-appropriate search's output contract exactly (same
     filters, same ordering).  In fixed_k mode it loops over y as well
     instead of deriving it, so cells_scanned counts its own six-axis scan.
-    Only intended for tests; the cell ceiling is a hard 10^7.
+    It prints no progress.  Only intended for tests; the cell ceiling is
+    a hard 10^7.
     """
-    b = _normalized(box, box.mode)
-    total = cell_count(b)
-    if total > ORACLE_CELL_CEILING:
-        raise BoxTooLarge(total, ORACLE_CELL_CEILING)
-    t0 = perf_counter()
-    n_lo, n_hi = b.n_range
-    x_lo, x_hi = b.x_range
-    y_lo, y_hi = b.y_range
-    a_lo, a_hi = b.A_range
-    b_lo, b_hi = b.B_range
-    out: list[tuple[Solution, GainReport]] = []
-    scanned = 0
-    if b.mode == FIXED_K:
-        k_lo, k_hi = b.k_range
-        for n in range(n_lo, n_hi + 1):
-            for A in range(a_lo, a_hi + 1):
-                for B in range(b_lo, b_hi + 1):
-                    for x in range(x_lo, x_hi + 1):
-                        for k in range(k_lo, k_hi + 1):
-                            scanned += 1
-                            left = A * x ** n + k
-                            for y in range(y_lo, y_hi + 1):
-                                if B * y ** n == left and gcd(A * x, B * y, k) == 1:
-                                    s = validate_solution(n, x, y, A, B, k)
-                                    out.append((s, _gains_or_partial(s, budget)))
-        _sort_fixed(out)
-        scanned *= y_hi - y_lo + 1
-    else:
-        threshold = b.q_threshold
-        for n in range(n_lo, n_hi + 1):
-            for A in range(a_lo, a_hi + 1):
-                for B in range(b_lo, b_hi + 1):
-                    for x in range(x_lo, x_hi + 1):
-                        for y in range(y_lo, y_hi + 1):
-                            scanned += 1
-                            k = B * y ** n - A * x ** n
-                            if k < 1:
-                                continue
-                            if gcd(A * x, B * y, k) != 1:
-                                continue
-                            s = validate_solution(n, x, y, A, B, k)
-                            report = _gains_or_partial(s, budget)
-                            if threshold is not None and report.q is not None:
-                                if report.q < threshold:
-                                    continue
-                            out.append((s, report))
-        _sort_hunt(out)
-    return SearchResult(tuple(out), scanned, perf_counter() - t0)
+    return _scan(box, box.mode, ORACLE_CELL_CEILING, budget, _oracle_cells)
 
 
 def split_box(box: SearchBox, parts: int, axis: str | None = None) -> tuple[SearchBox, ...]:
@@ -395,10 +383,7 @@ def merge_results(results, mode: str) -> SearchResult:
         merged.extend(r.solutions)
         cells += r.cells_scanned
         duration += r.duration
-    if mode == FIXED_K:
-        _sort_fixed(merged)
-    elif mode == DERIVED_K:
-        _sort_hunt(merged)
-    else:
+    if mode not in _ORDER:
         raise ValueError(f"unknown mode {mode!r}")
+    merged.sort(key=_ORDER[mode])
     return SearchResult(tuple(merged), cells, duration)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,40 @@ HARD_ARGS = [
     "analyze", "--n", "2", "--x", "15", "--y", "10022",
     "--A", "1", "--B", "1", "--k", "100440259",
 ]
+
+# Each invocation runs in every format.  cli_golden.json pins the exact
+# stdout and exit code of each, so changing them changes the CLI contract.
+GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
+GOLDEN_INVOCATIONS = {
+    "analyze-deweger": DEWEGER_ARGS,
+    "analyze-deweger-qmax": DEWEGER_ARGS + ["--qmax", "1.5"],
+    "analyze-nitaj": NITAJ_ARGS,
+    "analyze-nitaj-printed": NITAJ_PRINTED_ARGS,
+    "bounds": ["bounds", "--n", "3", "--A", "3087", "--B", "23", "--y", "128"],
+    "bounds-qmax-1.5": [
+        "bounds", "--n", "3", "--A", "3087", "--B", "23", "--y", "128", "--qmax", "1.5",
+    ],
+    "bounds-qmax-0.5": [
+        "bounds", "--n", "2", "--A", "1", "--B", "1", "--y", "2", "--qmax", "0.5",
+    ],
+    "search-readme": [
+        "search", "--n", "2:2", "--x", "2:10", "--y", "2:10",
+        "--A", "1:1", "--B", "1:1", "--k", "1:10",
+    ],
+    "search-empty": [
+        "search", "--n", "4:4", "--x", "2:100", "--y", "2:100",
+        "--A", "1:1", "--B", "1:1", "--k", "1:1",
+    ],
+    "hunt-threshold": [
+        "hunt", "--n", "2:3", "--x", "2:30", "--y", "2:30",
+        "--A", "1:2", "--B", "1:2", "--q-threshold", "1.3",
+    ],
+    "hunt-trivial-x": [
+        "hunt", "--n", "2:3", "--x", "1:3", "--y", "2:4",
+        "--A", "1:1", "--B", "1:1", "--allow-trivial-x",
+    ],
+    "verify-corpus": ["verify-corpus"],
+}
 
 SOLUTION_CSV_HEADER = (
     "n,x,y,A,B,k,trivial_x,C,P,radical_P,G_a,G_p,q,"
@@ -274,6 +309,25 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "positive" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            DEWEGER_ARGS + ["--qmax", "nan"],
+            DEWEGER_ARGS + ["--qmax", "snan"],
+            DEWEGER_ARGS + ["--qmax", "inf"],
+            ["bounds", "--n", "3", "--A", "1", "--B", "1", "--y", "2", "--qmax", "inf"],
+            ["hunt", "--n", "2:2", "--x", "2:5", "--y", "2:5", "--A", "1:1", "--B", "1:1",
+             "--q-threshold", "nan"],
+            ["hunt", "--n", "2:2", "--x", "2:5", "--y", "2:5", "--A", "1:1", "--B", "1:1",
+             "--q-threshold", "inf"],
+        ],
+    )
+    def test_non_finite_number(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
     def test_bounds_low_exponent(self, capsys):
         code, _, err = run_cli(
             capsys, ["bounds", "--n", "1", "--A", "1", "--B", "1", "--y", "2"]
@@ -471,6 +525,20 @@ class TestVerifyCorpus:
         _, out1, _ = run_cli(capsys, ["verify-corpus", "--format", "json"])
         _, out2, _ = run_cli(capsys, ["verify-corpus", "--format", "json"])
         assert out1 == out2
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("name", list(GOLDEN_INVOCATIONS))
+    def test_stdout_and_exit_code(self, capsys, monkeypatch, golden, name, fmt):
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        code, out, _ = run_cli(capsys, GOLDEN_INVOCATIONS[name] + ["--format", fmt])
+        assert [code, out] == golden[f"{name}/{fmt}"]
 
 
 class TestModuleEntryPoint:

@@ -320,6 +320,11 @@ class TestQMax:
         with pytest.raises(ValueError):
             custom_qmax(-1)
 
+    def test_rejects_non_finite(self):
+        for text in ("nan", "snan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="finite"):
+                custom_qmax(text)
+
 
 class TestRandomValidSolutions:
     @given(
