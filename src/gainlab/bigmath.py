@@ -20,8 +20,16 @@ CTX = Context(prec=LN_PRECISION, rounding=ROUND_HALF_EVEN)
 
 _ZERO = Decimal(0)
 
-# ln values are reused heavily across gain and bound computations for the
-# same arguments; the cache is idempotent (pure function of the key).
+# Guard digits carried by every cached logarithm (see ln_product).
+LN_GUARD = 8
+
+_WIDE = Context(prec=LN_PRECISION + LN_GUARD, rounding=ROUND_HALF_EVEN)
+
+# Logs at the wide precision, keyed by the integers they are logs of: the
+# primes of factored values and the small parameters (y, B, A*B) of the
+# bound formulas.  Logs of products are sums of these and are never stored,
+# so the cache grows with the distinct primes seen, not with the solutions.
+# The fill is idempotent (pure function of the key).
 _ln_cache: dict[int, Decimal] = {}
 
 
@@ -107,7 +115,7 @@ def nth_root_floor(v: int, n: int) -> int:
 
 
 def ln_cached(v: int) -> Decimal:
-    """ln(v) as a Decimal with LN_PRECISION significant digits, memoized."""
+    """ln(v) correctly rounded to LN_PRECISION + LN_GUARD digits, memoized."""
     cached = _ln_cache.get(v)
     if cached is not None:
         return cached
@@ -115,20 +123,62 @@ def ln_cached(v: int) -> Decimal:
         raise TypeError("ln expects an integer")
     if v < 1:
         raise ValueError("ln is defined here for integers >= 1 only")
-    if v == 1:
-        result = _ZERO
-    else:
-        # Decimal converts any int exactly, so ln() is correctly rounded at
-        # context precision regardless of the integer's size.
-        with localcontext(CTX):
-            result = Decimal(v).ln()
+    # Decimal converts any int exactly, and ln() is correctly rounded at
+    # context precision regardless of the integer's size.
+    result = _ZERO if v == 1 else Decimal(v).ln(_WIDE)
     _ln_cache[v] = result
     return result
 
 
+def ln_exact(v: int) -> Decimal:
+    """ln(v) correctly rounded to LN_PRECISION digits, straight from v.
+
+    Not memoized: it serves values that are never seen twice, such as the
+    product of a solution whose factorization is incomplete.
+    """
+    return _ZERO if v == 1 else Decimal(v).ln(CTX)
+
+
+def ln_product(terms) -> Decimal:
+    """ln(prod b**e) correctly rounded to LN_PRECISION digits.
+
+    terms is a sequence of (b, e) with integers b >= 1 and e >= 0, typically
+    a prime factorization.  The sum of e*ln(b) over the cached wide logs is
+    returned only when a rounding test proves it equal to the correctly
+    rounded log; otherwise the log is taken directly (ln_exact).
+
+    Error bound, with W = LN_PRECISION + LN_GUARD and u = 10**(1-W)/2, the
+    relative error of one rounding to W digits: each term e*ln(b) reaches
+    the running sum after at most two roundings (the cached log and the
+    product), and the sum of N terms takes at most N-1 more.  Every term is
+    nonnegative, so no cancellation amplifies these: the computed sum s and
+    the true log L satisfy |s - L| <= ((1+u)**(N+1) - 1)*L, which is below
+    (N+1) * 10**(1-W) * s for any N that fits in memory.  The bound err used
+    below is at least that, because s < 10**(s.adjusted()+1).  Rounding is
+    monotone, so if s - err and s + err round to the same LN_PRECISION-digit
+    value, so does every point between them, L included.  The endpoints are
+    rounded straight from their exact sums, so the test itself adds no
+    error.  It fails only when a rounding boundary of LN_PRECISION digits
+    lies within err of s, with odds of about 2*(N+1)*10**(65-W): one log in
+    a few hundred thousand at 8 guard digits and a dozen terms.
+    """
+    add, mul = _WIDE.add, _WIDE.multiply
+    total = _ZERO
+    for b, e in terms:
+        log = ln_cached(b)
+        total = add(total, log if e == 1 else mul(log, e))
+    if total.is_zero():
+        return _ZERO
+    err = Decimal(len(terms) + 1).scaleb(total.adjusted() + 2 - _WIDE.prec)
+    lo = CTX.subtract(total, err)
+    if lo == CTX.add(total, err):
+        return lo
+    return ln_exact(math.prod(b ** e for b, e in terms))
+
+
 def ln_big(v: int) -> BigLog:
     """Natural log of a positive integer at full working precision."""
-    return BigLog(value=ln_cached(v), precision_digits=LN_PRECISION)
+    return BigLog(value=ln_product(((v, 1),)), precision_digits=LN_PRECISION)
 
 
 def clear_ln_cache() -> None:

@@ -1,10 +1,10 @@
 """Integer factorization and radicals.
 
 The pipeline is trial division by small primes, then deterministic
-Miller-Rabin certificates, then Brent-cycle Pollard rho under an iteration
-budget.  A blown budget is always a reported error carrying the partial
-result, never a silently incomplete radical: a wrong radical would corrupt
-every gain value computed from it.
+Miller-Rabin certificates, then exact perfect-power roots, then Brent-cycle
+Pollard rho under an iteration budget.  A blown budget is always a
+reported error carrying the partial result, never a silently incomplete
+radical: a wrong radical would corrupt every gain value computed from it.
 """
 
 from __future__ import annotations
@@ -13,12 +13,16 @@ import math
 import os
 from dataclasses import dataclass
 
+from .bigmath import nth_root_floor
+
 DEFAULT_FACTOR_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "GAINLAB_FACTOR_BUDGET"
 
 # Trial division handles every prime factor below this limit, so any
 # remaining cofactor below its square is itself prime.
 _TRIAL_LIMIT = 10 ** 4
+# Every prime left after trial division exceeds 2**_ROOT_BITS.
+_ROOT_BITS = _TRIAL_LIMIT.bit_length() - 1
 
 # Witnesses proving primality for every integer below 3.3 * 10**24
 # (first thirteen primes).  Larger candidates get an extended fixed list;
@@ -63,6 +67,10 @@ class Factorization:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
+
+    def radical(self) -> int:
+        """Product of the listed primes."""
+        return math.prod(p for p, _ in self.factors)
 
 
 class FactorBudgetExceeded(RuntimeError):
@@ -178,6 +186,22 @@ def _brent_rho(n: int, budget: _Budget) -> int:
         c += 1  # cycle degenerated for this constant; try the next
 
 
+def _prime_index_root(n: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == n for the least prime k below _TRIAL_LIMIT, or None.
+
+    n has no prime factor below _TRIAL_LIMIT, so a root r exceeds
+    2**_ROOT_BITS and only indices k with _ROOT_BITS*k < n.bit_length() can
+    hold.  The roots are exact and spend no rho budget.
+    """
+    for k in _SMALL_PRIMES:
+        if _ROOT_BITS * k >= n.bit_length():
+            return None
+        r = nth_root_floor(n, k)
+        if r ** k == n:
+            return r, k
+    return None
+
+
 def _resolve_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
@@ -229,22 +253,28 @@ def factorize(v: int, budget: int | None = None, memoize: bool = True) -> Factor
             counts[rem] = counts.get(rem, 0) + 1
         else:
             tracker = _Budget(_resolve_budget(budget))
-            stack = [rem]
+            # (t, m): t**m divides rem and is still to be split.
+            stack = [(rem, 1)]
             while stack:
-                t = stack.pop()
+                t, m = stack.pop()
                 if is_prime(t):
-                    counts[t] = counts.get(t, 0) + 1
+                    counts[t] = counts.get(t, 0) + m
+                    continue
+                root = _prime_index_root(t)
+                if root is not None:
+                    r, k = root
+                    stack.append((r, m * k))
                     continue
                 try:
                     d = _brent_rho(t, tracker)
                 except _BudgetSpent:
-                    cofactor = t
-                    for other in stack:
-                        cofactor *= other
+                    cofactor = t ** m
+                    for other, j in stack:
+                        cofactor *= other ** j
                     partial = Factorization(tuple(sorted(counts.items())), False)
                     raise FactorBudgetExceeded(v, partial, cofactor) from None
-                stack.append(d)
-                stack.append(t // d)
+                stack.append((d, m))
+                stack.append((t // d, m))
 
     result = Factorization(tuple(sorted(counts.items())), True)
     if memoize:
@@ -254,11 +284,7 @@ def factorize(v: int, budget: int | None = None, memoize: bool = True) -> Factor
 
 def radical(v: int, budget: int | None = None, memoize: bool = True) -> int:
     """Product of the distinct primes dividing v; radical(1) = 1."""
-    f = factorize(v, budget=budget, memoize=memoize)
-    out = 1
-    for p, _ in f.factors:
-        out *= p
-    return out
+    return factorize(v, budget=budget, memoize=memoize).radical()
 
 
 def is_squarefree(v: int, budget: int | None = None) -> bool:
@@ -267,17 +293,20 @@ def is_squarefree(v: int, budget: int | None = None) -> bool:
     return all(e == 1 for _, e in f.factors)
 
 
-def radical_of_product(components: tuple[int, ...] | list[int], budget: int | None = None) -> int:
-    """Radical of the product of the components.
+def factorize_product(components: tuple[int, ...] | list[int], budget: int | None = None) -> Factorization:
+    """Complete factorization of the product of the components.
 
-    Components are factored individually and their prime sets merged, so
+    Components are factored individually and their exponents merged, so
     the product itself is never factored and components are free to share
     primes.  Raises FactorBudgetExceeded if any component blows the budget.
     """
-    primes: set[int] = set()
+    counts: dict[int, int] = {}
     for c in components:
-        primes.update(factorize(c, budget=budget).primes())
-    out = 1
-    for p in primes:
-        out *= p
-    return out
+        for p, e in factorize(c, budget=budget).factors:
+            counts[p] = counts.get(p, 0) + e
+    return Factorization(tuple(sorted(counts.items())), True)
+
+
+def radical_of_product(components: tuple[int, ...] | list[int], budget: int | None = None) -> int:
+    """Radical of the product of the components (see factorize_product)."""
+    return factorize_product(components, budget=budget).radical()

@@ -19,8 +19,8 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 
-from .bigmath import CTX, ln_cached
-from .factor import radical_of_product
+from .bigmath import CTX, LN_PRECISION, ln_big, ln_exact, ln_product
+from .factor import Factorization, factorize_product
 
 NON_TRIVIAL = "non_trivial"
 TRIVIAL_X = "trivial_x"
@@ -30,6 +30,11 @@ IDENTITY_VIOLATION = "identity-violation"
 COPRIMALITY_VIOLATION = "coprimality-violation"
 
 _TWO = Decimal(2)
+
+# Quality caps lie in [low, high).  Every value derived from a cap (the G_p
+# caps, the largest admissible exponent) then prints in under a hundred
+# digits.
+QMAX_RANGE = (Decimal(1).scaleb(-LN_PRECISION), Decimal(1).scaleb(LN_PRECISION))
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +101,10 @@ class SolutionError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class QMax:
-    """A quality cap q < value, labeled strong (2), ultra (1.5), or custom."""
+    """A quality cap q < value, labeled strong (2), ultra (1.5), or custom.
+
+    value is a finite Decimal in the interval QMAX_RANGE.
+    """
 
     value: Decimal
     label: str
@@ -108,6 +116,9 @@ class QMax:
             raise ValueError("QMax.value must be finite")
         if self.value <= 0:
             raise ValueError("QMax.value must be positive")
+        low, high = QMAX_RANGE
+        if not low <= self.value < high:
+            raise ValueError(f"QMax.value must lie in [{low}, {high})")
 
 
 QMAX_STRONG = QMax(Decimal(2), "strong")
@@ -225,8 +236,8 @@ def ga_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
     with localcontext(CTX):
         if A == 1 and B == 1:
             return Decimal(n) / Decimal(n + 2)
-        ln_ab = ln_cached(A * B)
-        ln_byn = Decimal(n) * ln_cached(y) + ln_cached(B)
+        ln_ab = ln_big(A * B).value
+        ln_byn = Decimal(n) * ln_big(y).value + ln_big(B).value
         denom = Decimal(n + 2) / Decimal(n) + (Decimal(n - 1) * ln_ab) / (Decimal(n) * ln_byn)
         return Decimal(1) / denom
 
@@ -255,8 +266,8 @@ def q_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
     with localcontext(CTX):
         if A == 1 and B == 1:
             return Decimal(n) / Decimal(n + 2)
-        ln_ab = ln_cached(A * B)
-        ln_byn = Decimal(n) * ln_cached(y) + ln_cached(B)
+        ln_ab = ln_big(A * B).value
+        ln_byn = Decimal(n) * ln_big(y).value + ln_big(B).value
         return Decimal(n) / (Decimal(n + 2) + (Decimal(n - 1) * ln_ab) / ln_byn)
 
 
@@ -276,10 +287,9 @@ def max_admissible_exponent(q_max) -> int:
     cap = _as_qmax(q_max)
     if cap.value <= 1:
         raise ValueError("max_admissible_exponent requires q_max > 1")
-    with localcontext(CTX):
-        doubled = _TWO * cap.value
-    floor = int(doubled)
-    return floor - 1 if doubled == floor else floor
+    # Exact, whatever the number of digits in q_max: ceil(2*num/den) - 1.
+    num, den = cap.value.as_integer_ratio()
+    return -(-2 * num // den) - 1
 
 
 @lru_cache(maxsize=None)
@@ -292,22 +302,24 @@ def _bounds_cached(n: int, A: int, B: int, y: int) -> tuple[Decimal, Decimal, De
     )
 
 
-def _build_report(s: Solution, R: int | None, q_max_custom: QMax | None) -> GainReport:
+def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | None) -> GainReport:
     C = s.B * s.y ** s.n
     P = s.x * s.y * s.A * s.B * s.k
     if P == 1:
         # Unreachable for a valid Solution (y >= 2), but the ratio would be
         # 0/0 and must never be silently produced.
         raise ValueError("degenerate denominator: x*y*A*B*k = 1")
+    ln_c = ln_product(((s.B, 1), (s.y, s.n)))
+    if f is None:
+        R = g_p = q = None
+        ln_p = ln_exact(P)
+    else:
+        R = f.radical()
+        ln_p = ln_product(f.factors)
+        ln_r = ln_product(tuple((p, 1) for p, _ in f.factors))
     with localcontext(CTX):
-        ln_c = ln_cached(C)
-        ln_p = ln_cached(P)
         g_a = ln_c / ln_p
-        if R is None:
-            g_p = None
-            q = None
-        else:
-            ln_r = ln_cached(R)
+        if R is not None:
             g_p = ln_p / ln_r
             q = ln_c / ln_r
     ga_min, q_min, gp_strong, gp_ultra = _bounds_cached(s.n, s.A, s.B, s.y)
@@ -343,10 +355,12 @@ def compute_gains(
 
     G_a, G_p and q are computed independently from the three logarithms, so
     the q = G_a*G_p identity stays a genuine cross-check downstream.
+    ln P and ln R are sums of cached prime logs and ln C = ln B + n*ln y
+    (see bigmath.ln_product), so they cost a few additions per solution.
     Raises FactorBudgetExceeded if the radical cannot be completed.
     """
-    R = radical_of_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
-    return _build_report(s, R, q_max_custom)
+    f = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
+    return _build_report(s, f, q_max_custom)
 
 
 def compute_gains_partial(s: Solution, *, q_max_custom: QMax | None = None) -> GainReport:

@@ -4,18 +4,25 @@ Frozen reference values were computed with an independent high-precision
 oracle (mpmath at 60 significant digits) and pasted here as strings.
 """
 
-from decimal import Decimal, localcontext
+import math
+from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
+from gainlab import bigmath
 from gainlab.bigmath import (
     BigLog,
     CTX,
+    LN_GUARD,
     LN_PRECISION,
+    clear_ln_cache,
     gcd3,
     ipow,
     ln_big,
+    ln_cached,
+    ln_product,
     nth_root_floor,
     round_sig,
 )
@@ -25,6 +32,8 @@ LN_84 = Decimal("4.4308167988433136153350622232820585704355755561251")
 LN_53130 = Decimal("10.880497019444988915387285844825395060149763944811")
 
 ABS_TOL = Decimal("1e-45")
+
+HARD_PRIME = 1000000000039
 
 
 class TestGcd3:
@@ -175,6 +184,75 @@ class TestLnBig:
         else:
             lo, hi = sorted((a, b))
             assert ln_big(lo).value < ln_big(hi).value
+
+
+# Up to 12 distinct primes below 10**30 with exponents up to 300, as
+# ((p, e), ...) ascending: the shape of a solution's factorization.
+factorizations = st.dictionaries(
+    st.integers(min_value=1, max_value=10 ** 30).map(sympy.nextprime),
+    st.integers(min_value=1, max_value=300),
+    min_size=1,
+    max_size=12,
+).map(lambda d: tuple(sorted(d.items())))
+
+
+def exact_ln(terms) -> Decimal:
+    return Decimal(math.prod(p ** e for p, e in terms)).ln(CTX)
+
+
+@pytest.fixture
+def counted_fallbacks(monkeypatch):
+    """Count the direct logs ln_product falls back to."""
+    calls = []
+    direct = bigmath.ln_exact
+
+    def ln_exact(v):
+        calls.append(v)
+        return direct(v)
+
+    monkeypatch.setattr(bigmath, "ln_exact", ln_exact)
+    return calls
+
+
+class TestLnProduct:
+    def test_cached_logs_carry_the_guard_digits(self):
+        log = ln_cached(2)
+        assert len(log.as_tuple().digits) == LN_PRECISION + LN_GUARD
+        assert str(ln_big(2).value) == str(Decimal(2).ln(CTX))
+
+    def test_one_and_empty_product(self):
+        assert ln_product(()) == 0
+        assert ln_product(((1, 5), (7, 0))) == 0
+
+    @given(factorizations)
+    def test_matches_direct_log(self, terms):
+        # Same digits and the same exponent, so the printed values agree too.
+        assert str(ln_product(terms)) == str(exact_ln(terms))
+
+    @given(factorizations)
+    def test_radical_log_matches_direct_log(self, terms):
+        primes = tuple((p, 1) for p, _ in terms)
+        assert str(ln_product(primes)) == str(exact_ln(primes))
+
+    def test_falls_back_when_the_rounding_test_fails(self, monkeypatch, counted_fallbacks):
+        # One guard digit leaves an error bound wider than a unit in the last
+        # place, so the rounding test cannot pass and every log is direct.
+        # The cache is emptied on both sides: it must not keep narrow logs.
+        clear_ln_cache()
+        monkeypatch.setattr(
+            bigmath, "_WIDE", Context(prec=LN_PRECISION + 1, rounding=ROUND_HALF_EVEN)
+        )
+        try:
+            for terms in (((2, 3), (3, 1)), ((10 ** 9 + 7, 40), (HARD_PRIME, 2))):
+                assert str(ln_product(terms)) == str(exact_ln(terms))
+        finally:
+            clear_ln_cache()
+        assert counted_fallbacks == [24, (10 ** 9 + 7) ** 40 * HARD_PRIME ** 2]
+
+    def test_proven_sums_need_no_fallback(self, counted_fallbacks):
+        for terms in (((2, 3), (3, 1)), ((10 ** 9 + 7, 40), (HARD_PRIME, 2))):
+            assert str(ln_product(terms)) == str(exact_ln(terms))
+        assert counted_fallbacks == []
 
 
 class TestRoundSig:

@@ -328,6 +328,32 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            DEWEGER_ARGS + ["--qmax", "1e999999"],
+            ["bounds", "--n", "3", "--A", "1", "--B", "1", "--y", "2", "--qmax", "1e999999"],
+            ["bounds", "--n", "3", "--A", "1", "--B", "1", "--y", "2", "--qmax", "1e64"],
+            DEWEGER_ARGS + ["--qmax", "1e-999999"],
+            ["bounds", "--n", "3", "--A", "1", "--B", "1", "--y", "2", "--qmax", "1e-65"],
+        ],
+    )
+    def test_qmax_out_of_range(self, capsys, argv):
+        # Derived from such a cap, gp_max_custom would print a million digits
+        # and max_admissible_exponent would overflow str()'s digit limit.
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: argument --qmax: QMax.value must lie in [1E-64, 1E+64)" in err
+
+    def test_qmax_just_below_the_limit(self, capsys):
+        code, doc, _ = run_json(
+            capsys,
+            ["bounds", "--n", "3", "--A", "1", "--B", "1", "--y", "2", "--qmax", "9.5e63"],
+        )
+        assert code == EXIT_OK
+        assert doc["bounds"]["max_admissible_exponent_custom"] == 19 * 10 ** 63 - 1
+
     def test_bounds_low_exponent(self, capsys):
         code, _, err = run_cli(
             capsys, ["bounds", "--n", "1", "--A", "1", "--B", "1", "--y", "2"]

@@ -12,6 +12,7 @@ from gainlab.factor import (
     Factorization,
     clear_cache,
     factorize,
+    factorize_product,
     is_prime,
     is_squarefree,
     radical,
@@ -80,6 +81,41 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10 ** 9))
     def test_agrees_with_oracle_factorint(self, v):
         assert dict(factorize(v).factors) == sympy.factorint(v)
+
+
+class TestPerfectPowers:
+    """Perfect powers are settled by exact roots, without spending rho budget."""
+
+    def test_square_of_a_prime_beyond_trial_division(self):
+        f = factorize(HARD_P ** 2, budget=1000, memoize=False)
+        assert f == Factorization(((HARD_P, 2),), True)
+
+    def test_cube_times_a_small_prime(self):
+        p = 10 ** 9 + 7
+        f = factorize(5 * p ** 3, budget=0, memoize=False)
+        assert f.factors == ((5, 1), (p, 3))
+
+    def test_nested_and_composite_roots(self):
+        assert factorize(HARD_P ** 12, budget=0, memoize=False).factors == ((HARD_P, 12),)
+        # The composite root goes on to rho once, not once per copy.
+        f = factorize((HARD_P * HARD_Q) ** 5, memoize=False)
+        assert f.factors == ((HARD_P, 5), (HARD_Q, 5))
+
+    def test_budget_error_keeps_the_power_of_the_cofactor(self):
+        with pytest.raises(FactorBudgetExceeded) as exc:
+            factorize(3 * (HARD_P * HARD_Q) ** 2, budget=10, memoize=False)
+        assert exc.value.partial == Factorization(((3, 1),), False)
+        assert exc.value.cofactor == (HARD_P * HARD_Q) ** 2
+
+    @given(
+        st.integers(min_value=10 ** 4, max_value=10 ** 12),
+        st.integers(min_value=10 ** 4, max_value=10 ** 12),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_prime_power_times_prime_agrees_with_oracle(self, a, b, e):
+        p, q = sympy.nextprime(a), sympy.nextprime(b)
+        v = p ** e * q
+        assert dict(factorize(v, memoize=False).factors) == sympy.factorint(v)
 
 
 class TestIsPrime:
@@ -159,6 +195,18 @@ class TestRadicalOfProduct:
         parts = (25, 128, 3087, 23, 121)
         v = math.prod(parts)
         assert radical_of_product(parts) == radical(v) == 53130
+
+
+class TestFactorizeProduct:
+    def test_exponents_of_shared_primes_add(self):
+        f = factorize_product((12, 18, 1, 35))
+        assert f == Factorization(((2, 3), (3, 3), (5, 1), (7, 1)), True)
+        assert f.product() == 12 * 18 * 35
+        assert f.radical() == 210
+
+    @given(st.lists(st.integers(min_value=1, max_value=10 ** 12), max_size=6))
+    def test_matches_factorization_of_the_product(self, parts):
+        assert factorize_product(parts) == factorize(math.prod(parts))
 
 
 class TestBudget:

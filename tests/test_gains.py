@@ -14,6 +14,7 @@ from gainlab.gains import (
     COPRIMALITY_VIOLATION,
     IDENTITY_VIOLATION,
     NON_TRIVIAL,
+    QMAX_RANGE,
     QMAX_STRONG,
     QMAX_ULTRA,
     QMax,
@@ -299,6 +300,12 @@ class TestMaxAdmissibleExponent:
     def test_plain_numbers_accepted(self):
         assert max_admissible_exponent(2) == 3
 
+    def test_caps_longer_than_working_precision_are_exact(self):
+        # 2*cap rounded to 64 digits would read 2 and 2*10**64.
+        just_above_one = "1." + "0" * 70 + "1"
+        assert max_admissible_exponent(custom_qmax(just_above_one)) == 2
+        assert max_admissible_exponent(custom_qmax("9" * 64)) == 2 * int("9" * 64) - 1
+
     def test_rejects_caps_at_or_below_one(self):
         with pytest.raises(ValueError):
             max_admissible_exponent(1)
@@ -319,6 +326,14 @@ class TestQMax:
             QMax(2, "plain")
         with pytest.raises(ValueError):
             custom_qmax(-1)
+
+    def test_range(self):
+        low, high = QMAX_RANGE
+        assert custom_qmax("1e-64").value == low
+        assert custom_qmax("9.99e63").value < high
+        for text in ("9.99e-65", "1e-999999", "1e64", "1e999999"):
+            with pytest.raises(ValueError, match="must lie in"):
+                custom_qmax(text)
 
     def test_rejects_non_finite(self):
         for text in ("nan", "snan", "inf", "-inf"):

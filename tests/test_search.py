@@ -3,9 +3,11 @@
 from decimal import Decimal, localcontext
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from gainlab.bigmath import CTX
+from gainlab import bigmath
+from gainlab.bigmath import CTX, clear_ln_cache
 from gainlab.factor import clear_cache
 from gainlab.gains import check_solution
 from gainlab.search import (
@@ -411,6 +413,39 @@ class TestBudgetPartials:
         # Quality is unknown, so the threshold cannot justify dropping it.
         assert len(result.solutions) == 1
         assert result.solutions[0][1].q is None
+
+
+class TestLogOracle:
+    """Gains from cached prime logs equal the gains from direct logs."""
+
+    @staticmethod
+    def assert_direct_logs_agree(result: SearchResult):
+        for _, g in result.solutions:
+            ln_c, ln_p = Decimal(g.C).ln(CTX), Decimal(g.P).ln(CTX)
+            with localcontext(CTX):
+                assert str(g.G_a) == str(ln_c / ln_p)
+                if g.R is not None:
+                    ln_r = Decimal(g.R).ln(CTX)
+                    assert str(g.G_p) == str(ln_p / ln_r)
+                    assert str(g.q) == str(ln_c / ln_r)
+
+    def test_hunt_reports_and_cache_keys(self):
+        clear_ln_cache()
+        box = derived_box((2, 4), (2, 20), (2, 20), (1, 2), (1, 2))
+        result = hunt_derived_k(box)
+        assert len(result.solutions) > 100
+        self.assert_direct_logs_agree(result)
+        # Only primes and the bound formulas' y, B and A*B (all at most 20
+        # here) are cached, so the cache does not grow with the solutions.
+        assert all(sympy.isprime(v) or v <= 20 for v in bigmath._ln_cache)
+
+    def test_partial_reports(self):
+        clear_cache()
+        # x = 15 derives HARD_K, which a zero budget cannot split.
+        box = derived_box((2, 2), (15, 21), (10022, 10022), (1, 1), (1, 1))
+        result = hunt_derived_k(box, budget=0)
+        assert [g.R is None for _, g in result.solutions] == [False, False, False, True]
+        self.assert_direct_logs_agree(result)
 
 
 class TestProgress:
