@@ -1,10 +1,15 @@
 """Integer factorization and radicals.
 
-The pipeline is trial division by small primes, then deterministic
-Miller-Rabin certificates, then exact perfect-power roots, then Brent-cycle
-Pollard rho under an iteration budget.  A blown budget is always a
-reported error carrying the partial result, never a silently incomplete
-radical: a wrong radical would corrupt every gain value computed from it.
+The pipeline is trial division by the primes below 10^4, then
+deterministic Miller-Rabin certificates, then exact perfect-power roots,
+then Brent-cycle Pollard rho under an iteration budget.  Trial division
+takes the gcd of the value with the product of each of three blocks of
+those primes (Bernstein, "How to find smooth parts of integers", 2004),
+stops at the first block whose least prime squared exceeds the value,
+and divides only by the primes of those gcds.  A blown budget is always
+a reported error carrying the partial result, never a silently
+incomplete radical: a wrong radical would corrupt every gain value
+computed from it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+# The small primes in blocks [2, 100), [100, 1000) and [1000, _TRIAL_LIMIT),
+# each with its least prime and its product.  A value below the square of a
+# block's least prime needs no gcd with that block's product or any later one.
+_PRIME_BLOCKS = tuple(
+    (block[0], math.prod(block), block)
+    for lo, hi in ((2, 100), (100, 1000), (1000, _TRIAL_LIMIT))
+    for block in [tuple(p for p in _SMALL_PRIMES if lo <= p < hi)]
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,6 +215,31 @@ def _prime_index_root(n: int) -> tuple[int, int] | None:
     return None
 
 
+def _small_prime_divisors(v: int) -> list[int]:
+    """The primes that divide v from every block whose least prime p has p*p <= v.
+
+    v has no other prime factor below the least prime of the first block
+    left out, so once they are divided out, the rest of v is 1, a prime or
+    free of factors below _TRIAL_LIMIT.  The gcd with a block's product
+    leaves g, a product of distinct primes of the block, so only g is trial
+    divided; whatever is left of g once p*p exceeds it is 1 or a prime.
+    """
+    out = []
+    for least, product, block in _PRIME_BLOCKS:
+        if least * least > v:
+            break
+        g = math.gcd(v, product)
+        for p in block:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                out.append(p)
+        if g > 1:
+            out.append(g)
+    return out
+
+
 def _resolve_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
@@ -237,20 +275,16 @@ def factorize(v: int, budget: int | None = None, memoize: bool = True) -> Factor
 
     counts: dict[int, int] = {}
     rem = v
-    for p in _SMALL_PRIMES:
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            e = 1
+    for p in _small_prime_divisors(v):
+        e = 0
+        while rem % p == 0:
             rem //= p
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            counts[p] = e
+            e += 1
+        counts[p] = e
     if rem > 1:
         if rem < _TRIAL_LIMIT * _TRIAL_LIMIT:
             # No prime factor below its square root exists, so rem is prime.
-            counts[rem] = counts.get(rem, 0) + 1
+            counts[rem] = 1
         else:
             tracker = _Budget(_resolve_budget(budget))
             # (t, m): t**m divides rem and is still to be split.

@@ -1,10 +1,12 @@
 """Exhaustive solution search over bounded parameter boxes.
 
-Two modes: fixed_k iterates (n, A, B, x, k) and derives the unique
-candidate y exactly; derived_k iterates (n, A, B, x, y) and sets
-k = B*y^n - A*x^n.  A deliberately dumb brute-force oracle backs both in
-tests.  Boxes split into disjoint sub-boxes whose merged results are
-identical to a single-box run, so parallel schedules cannot change output.
+Two modes: fixed_k scans the (n, A, B, x, k) cells with one exact root
+per (n, A, B, x), for the least y whose k = B*y^n - A*x^n reaches the
+k window, and steps y up while k stays inside it; derived_k iterates
+(n, A, B, x, y) and sets k = B*y^n - A*x^n.  A deliberately dumb
+brute-force oracle backs both in tests.  Boxes split into disjoint
+sub-boxes whose merged results are identical to a single-box run, so
+parallel schedules cannot change output.
 """
 
 from __future__ import annotations
@@ -137,21 +139,29 @@ def cell_count(box: SearchBox) -> int:
 
 
 class _Progress:
-    """Scanned-cell count, with liveness ticks to stderr every PROGRESS_INTERVAL cells."""
+    """Scanned-cell count, with liveness ticks to stderr every PROGRESS_INTERVAL cells.
 
-    __slots__ = ("scanned", "_next", "_total", "_found")
+    A tick also reports the scan rate since the start and the time left
+    at that rate.
+    """
+
+    __slots__ = ("scanned", "_next", "_total", "_found", "_t0")
 
     def __init__(self, total: int, found: list):
         self.scanned = 0
         self._next = PROGRESS_INTERVAL
         self._total = total
         self._found = found
+        self._t0 = perf_counter()
 
     def advance(self, cells: int) -> None:
         self.scanned += cells
         if self.scanned >= self._next:
+            rate = self.scanned / (perf_counter() - self._t0)
+            eta = (self._total - self.scanned) / rate
             print(
-                f"progress: {self.scanned}/{self._total} cells, {len(self._found)} solutions",
+                f"progress: {self.scanned}/{self._total} cells, {len(self._found)} solutions, "
+                f"{rate:.0f} cells/s, ETA {eta:.1f}s",
                 file=sys.stderr,
             )
             while self._next <= self.scanned:
@@ -220,19 +230,18 @@ def _fixed_k_cells(b: SearchBox, progress: _Progress):
                 for x in range(x_lo, x_hi + 1):
                     ax = A * x
                     axn = A * xpow[x]
-                    for k in range(k_lo, k_hi + 1):
-                        total_term = axn + k
-                        if total_term % B:
-                            continue
-                        quotient = total_term // B
-                        y = nth_root_floor(quotient, n)
-                        if y < 2 or y < y_lo or y > y_hi:
-                            continue
-                        if y ** n != quotient:
-                            continue
-                        if gcd(ax, B * y, k) != 1:
-                            continue
-                        yield n, x, y, A, B, k
+                    least = axn + k_lo
+                    # No y exists unless B divides A*x^n + k for some k in the window.
+                    if -least % B < k_width:
+                        # The least y with B*y^n >= A*x^n + k_lo; y steps up while k <= k_hi.
+                        y = max(nth_root_floor((least - 1) // B, n) + 1, y_lo)
+                        while y <= y_hi:
+                            k = B * y ** n - axn
+                            if k > k_hi:
+                                break
+                            if gcd(ax, B * y, k) == 1:
+                                yield n, x, y, A, B, k
+                            y += 1
                     progress.advance(k_width)
 
 
@@ -242,12 +251,16 @@ def enumerate_fixed_k(
     cell_ceiling: int = DEFAULT_CELL_CEILING,
     budget: int | None = None,
 ) -> SearchResult:
-    """All solutions with every parameter inside the box, k iterated.
+    """All solutions with every parameter inside the box, k in k_range.
 
-    For each (n, A, B, x, k) the only possible y satisfies
-    y^n = (A*x^n + k) / B, so B must divide the sum and the candidate
-    y = nth_root_floor of the quotient is verified by exact powering.
-    No float ever decides membership.
+    For each (n, A, B, x) the admissible y form one window: the least is
+    y0 = max(nth_root_floor((A*x^n + k_lo - 1) // B, n) + 1, y_lo), the
+    least y with B*y^n >= A*x^n + k_lo, and y steps up from y0 while
+    y <= y_hi and k = B*y^n - A*x^n <= k_hi.  The root is skipped when
+    B divides A*x^n + k for no k of the window.  So the scan costs one
+    root per (n, A, B, x) plus one step per candidate, not one per k, and
+    no float ever decides membership.  cells_scanned still counts every
+    (n, A, B, x, k) cell of the box.
     """
     return _scan(box, FIXED_K, cell_ceiling, budget, _fixed_k_cells)
 

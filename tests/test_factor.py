@@ -118,6 +118,58 @@ class TestPerfectPowers:
         assert dict(factorize(v, memoize=False).factors) == sympy.factorint(v)
 
 
+SMALL_PRIMES = list(sympy.primerange(2, 10 ** 4))
+
+
+class TestTrialDivision:
+    """The gcd-with-the-primorial trial division against sympy.factorint."""
+
+    def agrees(self, v):
+        f = factorize(v, budget=0, memoize=False)
+        assert f.complete
+        assert dict(f.factors) == sympy.factorint(v)
+
+    def test_one(self):
+        assert factorize(1, memoize=False) == Factorization((), True)
+        self.agrees(1)
+
+    @pytest.mark.parametrize("i, j", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 3), (5, 1)])
+    def test_products_of_the_primes_around_the_limit(self, i, j):
+        # 9973 is the largest prime trial division covers, 10007 the least it does not.
+        self.agrees(9973 ** i * 10007 ** j)
+
+    @pytest.mark.parametrize(
+        "v",
+        [97 * 101, 101 ** 2 - 1, 101 ** 2, 997 * 1009, 1009 ** 2 - 1, 1009 ** 2,
+         2 * 9973, 97 * 9973, 997 * 9973, 1013 * 9973, 2 * 3 * 1009 ** 2 * 10007],
+    )
+    def test_squares_of_the_least_primes_of_each_block(self, v):
+        # Blocks of the small primes start at 2, 101 and 1009.
+        self.agrees(v)
+
+    @pytest.mark.parametrize("e", [1, 2, 13, 14, 63, 64, 65, 500])
+    def test_powers_of_two(self, e):
+        self.agrees(2 ** e)
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 7, 20])
+    def test_powers_of_9973(self, e):
+        self.agrees(9973 ** e)
+
+    def test_values_around_the_prime_cofactor_rule(self):
+        # A cofactor below 10^8 is taken as prime; 10^8 - 11 and 10^8 + 7 are prime.
+        for v in range(10 ** 8 - 64, 10 ** 8 + 64):
+            self.agrees(v)
+
+    @given(
+        st.integers(min_value=10 ** 4, max_value=10 ** 8 - 12),
+        st.lists(st.sampled_from(SMALL_PRIMES), max_size=10),
+    )
+    def test_prime_cofactor_times_smooth_part(self, a, smooth):
+        p = sympy.nextprime(a)
+        assert 10 ** 4 <= p < 10 ** 8
+        self.agrees(p * math.prod(smooth))
+
+
 class TestIsPrime:
     def test_known_primes(self):
         for p in (2, 3, 5, 97, 10 ** 9 + 7, HARD_P, 192152758208292083):

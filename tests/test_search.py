@@ -1,12 +1,13 @@
 """Box search: fixed-k enumeration, derived-k hunt, oracle equivalence."""
 
+import re
 from decimal import Decimal, localcontext
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from gainlab import bigmath
+from gainlab import bigmath, search
 from gainlab.bigmath import CTX, clear_ln_cache
 from gainlab.factor import clear_cache
 from gainlab.gains import check_solution
@@ -265,6 +266,71 @@ class TestOracleEquivalence:
         assert fast.solutions == brute_force_oracle(box).solutions
 
 
+class TestFixedKWindow:
+    """The fixed-k scan steps y through one window per (n, A, B, x)."""
+
+    def test_one_x_window_holds_several_y(self):
+        # y^2 = 4 + k for k <= 400 gives y = 3..20; the odd y are coprime.
+        box = fixed_box((2, 2), (2, 2), (2, 30), (1, 1), (1, 1), (1, 400))
+        fast = enumerate_fixed_k(box)
+        assert [s.y for s, _ in fast.solutions] == list(range(3, 21, 2))
+        assert fast.solutions == brute_force_oracle(box).solutions
+
+    @given(
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=400),
+        st.booleans(),
+    )
+    # B > 1; y_lo above the least root; y_hi cutting the window; x = 1 admitted.
+    @example(2, 2, 1, 2, 20, 1, 0, 2, 1, 1, 400, True)
+    @example(2, 2, 0, 9, 20, 1, 0, 1, 0, 1, 400, True)
+    @example(2, 2, 0, 2, 6, 1, 0, 1, 0, 1, 400, True)
+    @example(3, 1, 1, 2, 20, 1, 1, 1, 1, 1, 400, False)
+    def test_wide_k_windows_match_oracle(
+        self, n, x_lo, x_w, y_lo, y_w, a_lo, a_w, b_lo, b_w, k_lo, k_w, nontrivial
+    ):
+        box = fixed_box(
+            (n, n), (x_lo, x_lo + x_w), (y_lo, y_lo + y_w), (a_lo, a_lo + a_w),
+            (b_lo, b_lo + b_w), (k_lo, k_lo + k_w), require_nontrivial=nontrivial,
+        )
+        fast = enumerate_fixed_k(box)
+        assert fast.solutions == brute_force_oracle(box).solutions
+        assert fast.cells_scanned == cell_count(box)
+
+    def test_split_along_k_merges_to_the_whole(self):
+        box = fixed_box((2, 3), (1, 6), (2, 40), (1, 2), (1, 3), (1, 400), require_nontrivial=False)
+        whole = enumerate_fixed_k(box)
+        assert len(whole.solutions) > 10
+        for parts in (2, 3, 7):
+            pieces = split_box(box, parts, axis="k")
+            merged = merge_results([enumerate_fixed_k(p) for p in pieces], FIXED_K)
+            assert merged == whole
+
+    def test_at_most_one_root_per_x(self, monkeypatch):
+        calls = 0
+        root = search.nth_root_floor
+
+        def counting_root(v, n):
+            nonlocal calls
+            calls += 1
+            return root(v, n)
+
+        monkeypatch.setattr(search, "nth_root_floor", counting_root)
+        box = fixed_box((2, 4), (2, 30), (2, 10 ** 6), (1, 3), (1, 3), (1, 400))
+        result = enumerate_fixed_k(box)
+        assert result.solutions
+        assert calls <= cell_count(box) // 400 == 3 * 29 * 3 * 3
+
+
 class TestEmittedInvariants:
     def test_every_solution_revalidates_and_reports_check_out(self):
         boxes = [
@@ -455,6 +521,16 @@ class TestProgress:
         enumerate_fixed_k(box)
         err = capsys.readouterr().err
         assert "progress: 1000000/1060000 cells" in err
+
+    def test_progress_tick_reports_rate_and_eta(self, capsys, monkeypatch):
+        monkeypatch.setattr(search, "PROGRESS_INTERVAL", 30)
+        enumerate_fixed_k(spec_fixed_box())
+        ticks = capsys.readouterr().err.splitlines()
+        assert len(ticks) == 3
+        for tick in ticks:
+            assert re.fullmatch(
+                r"progress: \d+/90 cells, \d+ solutions, \d+ cells/s, ETA \d+\.\ds", tick
+            )
 
     def test_no_progress_on_small_box(self, capsys):
         enumerate_fixed_k(spec_fixed_box())
