@@ -4,8 +4,10 @@ Subcommands: analyze one solution, evaluate bounds for parameters, search
 a box with fixed k, hunt a box with derived k, verify the built-in corpus.
 Reports go to stdout in json, csv, or human form; progress, timing, and
 errors go to stderr.  Identical invocations produce byte-identical stdout:
-big integers serialize as exact decimal strings and every real as a
-6-significant-digit decimal string, never a binary float.
+solution parameters and terms serialize as exact decimal strings and every
+real as a 6-significant-digit decimal string, never a binary float.  Counts
+(cells_scanned, max_admissible_exponent_*) are JSON numbers, exact at any
+size: --qmax 9.99e63 gives a 65-digit one.
 
 Exit codes: 0 success, 1 invalid solution, 2 usage error, 3 resource
 limits (factorization budget, box ceiling).
@@ -22,19 +24,17 @@ from math import gcd
 from .bigmath import round_sig
 from .factor import FactorBudgetExceeded
 from .gains import (
+    BOUND_FIELDS,
     GainReport,
     QMAX_STRONG,
     QMAX_ULTRA,
     QMax,
     Solution,
     SolutionError,
+    bound_fields,
     compute_gains,
     custom_qmax,
-    ga_lower_bound,
-    gp_upper_bound,
-    k1_quality_bound,
     max_admissible_exponent,
-    q_lower_bound,
     validate_solution,
 )
 from .corpus import builtin_corpus, verify_entry
@@ -63,9 +63,7 @@ REPORT_SCHEMA = {
     "solution": ("n", "x", "y", "A", "B", "k", "trivial_x"),
     "terms": ("C", "P", "radical_P"),
     "gains": ("G_a", "G_p", "q"),
-    "bounds": (
-        "ga_min", "q_min", "gp_max_strong", "gp_max_ultra", "gp_max_custom", "k1_q_bound",
-    ),
+    "bounds": BOUND_FIELDS,
     "checks": ("identity", "coprime", "thm1_holds", "thm5_holds"),
 }
 
@@ -194,7 +192,7 @@ def solution_report(
 ) -> dict:
     """The per-solution report document, keys in fixed order."""
     axn = s.A * s.x ** s.n
-    return _report_doc({
+    fields = {
         "n": str(s.n),
         "x": str(s.x),
         "y": str(s.y),
@@ -205,20 +203,14 @@ def solution_report(
         "C": str(g.C),
         "P": str(g.P),
         "radical_P": None if g.R is None else str(g.R),
-        "G_a": _display(g.G_a, digits),
-        "G_p": _display(g.G_p, digits),
-        "q": _display(g.q, digits),
-        "ga_min": _display(g.ga_min, digits),
-        "q_min": _display(g.q_min, digits),
-        "gp_max_strong": _display(g.gp_max_strong, digits),
-        "gp_max_ultra": _display(g.gp_max_ultra, digits),
-        "gp_max_custom": _display(g.gp_max_custom, digits),
-        "k1_q_bound": _display(g.k1_q_bound, digits),
         "identity": g.C == axn + s.k,
         "coprime": gcd(s.A * s.x, s.B * s.y, s.k) == 1,
         "thm1_holds": bool(g.C > axn and g.G_a > g.ga_min),
         "thm5_holds": None if g.q is None else bool(g.q > g.q_min),
-    })
+    }
+    for name in REPORT_SCHEMA["gains"] + REPORT_SCHEMA["bounds"]:
+        fields[name] = _display(getattr(g, name), digits)
+    return _report_doc(fields)
 
 
 def _csv_cell(value) -> str:
@@ -300,35 +292,19 @@ def _emit_validation_failure(err: SolutionError, fmt: str) -> None:
 def _run_bounds(args: argparse.Namespace) -> int:
     n, A, B, y, cap = args.n, args.A, args.B, args.y, args.qmax
     try:
-        ga = ga_lower_bound(n, A, B, y)
-        qmin = q_lower_bound(n, A, B, y)
-        gp_strong = gp_upper_bound(n, A, B, y, QMAX_STRONG)
-        gp_ultra = gp_upper_bound(n, A, B, y, QMAX_ULTRA)
-        k1 = k1_quality_bound(n)
+        fields = bound_fields(n, A, B, y, cap)
     except (TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    gp_custom = None
-    max_n_custom = None
-    if cap is not None:
-        gp_custom = gp_upper_bound(n, A, B, y, cap)
-        try:
-            max_n_custom = max_admissible_exponent(cap)
-        except ValueError:
-            max_n_custom = None  # cap <= 1 excludes every exponent
-    bounds = {
-        "ga_min": _display(ga),
-        "q_min": _display(qmin),
-        "gp_max_strong": _display(gp_strong),
-        "gp_max_ultra": _display(gp_ultra),
-    }
-    if gp_custom is not None:
-        bounds["gp_max_custom"] = _display(gp_custom)
-    bounds["k1_q_bound"] = _display(k1)
+    bounds = _report_doc({name: _display(v) for name, v in fields.items()})["bounds"]
     bounds["max_admissible_exponent_strong"] = max_admissible_exponent(QMAX_STRONG)
     bounds["max_admissible_exponent_ultra"] = max_admissible_exponent(QMAX_ULTRA)
     if cap is not None:
-        bounds["max_admissible_exponent_custom"] = max_n_custom
+        # None when the cap is at most 1, which excludes every exponent.
+        try:
+            bounds["max_admissible_exponent_custom"] = max_admissible_exponent(cap)
+        except ValueError:
+            bounds["max_admissible_exponent_custom"] = None
     doc = {
         "params": {
             "n": str(n),

@@ -125,21 +125,13 @@ def builtin_corpus() -> tuple[CorpusEntry, ...]:
     )
 
 
+# Corpus quantities that are GainReport fields of the same name.
+_REPORT_QUANTITIES = ("G_a", "G_p", "q", "ga_min", "q_min", "gp_max_strong", "gp_max_ultra")
+
+
 def _actual_quantity(name: str, report: GainReport) -> Decimal | int | None:
-    if name == "G_a":
-        return report.G_a
-    if name == "G_p":
-        return report.G_p
-    if name == "q":
-        return report.q
-    if name == "ga_min":
-        return report.ga_min
-    if name == "q_min":
-        return report.q_min
-    if name == "gp_max_strong":
-        return report.gp_max_strong
-    if name == "gp_max_ultra":
-        return report.gp_max_ultra
+    if name in _REPORT_QUANTITIES:
+        return getattr(report, name)
     if name == "radical_P":
         return report.R
     if name == "limit_ratio":

@@ -7,9 +7,15 @@ dimensionless measures:
     G_p = ln(x*y*A*B*k) / ln(rad(x*y*A*B*k))      power gain
     q   = G_a * G_p                               ABC-quality of the triple
 
-plus the structural lower bound on G_a, the conjectural upper bounds on
-G_p at quality caps 2 (strong) and 1.5 (ultra), the direct lower bound on
-q, and the q > n/2 bound for the k = 1, A = B = 1 case.
+plus the bounds, all from one term evaluated at 64 digits:
+
+    D = n + 2 + (n-1) ln(AB) / ln(B*y^n)
+    ga_min = q_min = n/D                          floor on G_a, hence on q
+    gp_max = q_max * D/n                          cap on G_p when q < q_max
+
+at quality caps 2 (strong), 1.5 (ultra) or a custom one, and the q > n/2
+bound for the k = 1, A = B = 1 case.  q_min is ga_min because
+q = G_a * G_p and G_p >= 1.
 """
 
 from __future__ import annotations
@@ -226,49 +232,34 @@ def _require_bound_params(n: int, A: int, B: int, y: int) -> None:
         raise ValueError("bound formulas require A >= 1 and B >= 1")
 
 
-def ga_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
-    """Structural lower bound on G_a.
-
-    Equals 1 / ((n+2)/n + (n-1) ln(AB) / (n (n ln y + ln B))); for
-    A = B = 1 it collapses to n/(n+2) exactly.
-    """
+def _bound_denominator(n: int, A: int, B: int, y: int) -> Decimal:
+    """D = n + 2 + (n-1) ln(AB) / ln(B y^n); exactly n + 2 when A = B = 1."""
     _require_bound_params(n, A, B, y)
     with localcontext(CTX):
-        if A == 1 and B == 1:
-            return Decimal(n) / Decimal(n + 2)
-        ln_ab = ln_big(A * B).value
         ln_byn = Decimal(n) * ln_big(y).value + ln_big(B).value
-        denom = Decimal(n + 2) / Decimal(n) + (Decimal(n - 1) * ln_ab) / (Decimal(n) * ln_byn)
-        return Decimal(1) / denom
+        return Decimal(n + 2) + (Decimal(n - 1) * ln_big(A * B).value) / ln_byn
+
+
+def ga_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
+    """Structural lower bound n/D on G_a; n/(n+2) exactly for A = B = 1."""
+    with localcontext(CTX):
+        return Decimal(n) / _bound_denominator(n, A, B, y)
 
 
 def gp_upper_bound(n: int, A: int, B: int, y: int, q_max) -> Decimal:
-    """Upper bound on G_p under the quality cap q < q_max.
-
-    Equals q_max / ga_lower_bound(n, A, B, y); for A = B = 1 it is
-    q_max*(n+2)/n, computed exactly at working precision.
-    """
-    _require_bound_params(n, A, B, y)
-    cap = _as_qmax(q_max)
+    """Upper bound q_max*D/n = q_max / ga_lower_bound on G_p under q < q_max."""
+    d = _bound_denominator(n, A, B, y)
     with localcontext(CTX):
-        if A == 1 and B == 1:
-            return (cap.value * Decimal(n + 2)) / Decimal(n)
-        return cap.value / ga_lower_bound(n, A, B, y)
+        return (_as_qmax(q_max).value * d) / Decimal(n)
 
 
 def q_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
     """Lower bound on the quality q of any solution with these parameters.
 
-    Equals n / (n + 2 + (n-1) ln(AB) / ln(B y^n)), which is algebraically
-    the same expression as ga_lower_bound; for A = B = 1 it is n/(n+2).
+    The same value as ga_lower_bound: q = G_a * G_p and G_p >= 1, so the
+    floor on G_a is a floor on q.
     """
-    _require_bound_params(n, A, B, y)
-    with localcontext(CTX):
-        if A == 1 and B == 1:
-            return Decimal(n) / Decimal(n + 2)
-        ln_ab = ln_big(A * B).value
-        ln_byn = Decimal(n) * ln_big(y).value + ln_big(B).value
-        return Decimal(n) / (Decimal(n + 2) + (Decimal(n - 1) * ln_ab) / ln_byn)
+    return ga_lower_bound(n, A, B, y)
 
 
 def k1_quality_bound(n: int) -> Decimal:
@@ -292,14 +283,28 @@ def max_admissible_exponent(q_max) -> int:
     return -(-2 * num // den) - 1
 
 
+# Names of the bound fields, shared by GainReport and the CLI report schema.
+BOUND_FIELDS = (
+    "ga_min", "q_min", "gp_max_strong", "gp_max_ultra", "gp_max_custom", "k1_q_bound",
+)
+
+
 @lru_cache(maxsize=None)
-def _bounds_cached(n: int, A: int, B: int, y: int) -> tuple[Decimal, Decimal, Decimal, Decimal]:
-    return (
-        ga_lower_bound(n, A, B, y),
-        q_lower_bound(n, A, B, y),
-        gp_upper_bound(n, A, B, y, QMAX_STRONG),
-        gp_upper_bound(n, A, B, y, QMAX_ULTRA),
-    )
+def _fixed_cap_bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
+    """(ga_min, gp_max_strong, gp_max_ultra, k1_q_bound) for these parameters."""
+    strong, ultra = (gp_upper_bound(n, A, B, y, cap) for cap in (QMAX_STRONG, QMAX_ULTRA))
+    return ga_lower_bound(n, A, B, y), strong, ultra, k1_quality_bound(n)
+
+
+def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> dict:
+    """Every bound field for these parameters, keyed by BOUND_FIELDS.
+
+    q_min is ga_min (see q_lower_bound); gp_max_custom is None when no cap
+    is given.  The fixed-cap fields are memoized per (n, A, B, y).
+    """
+    ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
+    custom = None if q_max is None else gp_upper_bound(n, A, B, y, q_max)
+    return dict(zip(BOUND_FIELDS, (ga_min, ga_min, strong, ultra, custom, k1)))
 
 
 def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | None) -> GainReport:
@@ -322,12 +327,6 @@ def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | Non
         if R is not None:
             g_p = ln_p / ln_r
             q = ln_c / ln_r
-    ga_min, q_min, gp_strong, gp_ultra = _bounds_cached(s.n, s.A, s.B, s.y)
-    gp_custom = (
-        gp_upper_bound(s.n, s.A, s.B, s.y, q_max_custom)
-        if q_max_custom is not None
-        else None
-    )
     return GainReport(
         C=C,
         P=P,
@@ -335,12 +334,7 @@ def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | Non
         G_a=g_a,
         G_p=g_p,
         q=q,
-        ga_min=ga_min,
-        q_min=q_min,
-        gp_max_strong=gp_strong,
-        gp_max_ultra=gp_ultra,
-        gp_max_custom=gp_custom,
-        k1_q_bound=k1_quality_bound(s.n),
+        **bound_fields(s.n, s.A, s.B, s.y, q_max_custom),
         triviality=s.triviality,
     )
 
@@ -357,7 +351,9 @@ def compute_gains(
     the q = G_a*G_p identity stays a genuine cross-check downstream.
     ln P and ln R are sums of cached prime logs and ln C = ln B + n*ln y
     (see bigmath.ln_product), so they cost a few additions per solution.
-    Raises FactorBudgetExceeded if the radical cannot be completed.
+    x, y, A, B and k are factored one at a time, each with its own full
+    budget, so one report can spend up to five budgets.  Raises
+    FactorBudgetExceeded if the radical cannot be completed.
     """
     f = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
     return _build_report(s, f, q_max_custom)

@@ -4,7 +4,10 @@ Frozen reference values were computed with an independent high-precision
 oracle (mpmath at 60 significant digits) and pasted here as strings.
 """
 
+from dataclasses import replace
 from decimal import Decimal, localcontext
+
+import pytest
 
 from gainlab.bigmath import CTX
 from gainlab.corpus import (
@@ -116,12 +119,35 @@ class TestVerifyEntry:
         assert not r.all_quantities_pass
 
     def test_missing_printed_k_is_not_applicable(self):
-        from dataclasses import replace
-
         e = replace(by_name("reyssat"), k_printed=None)
         r = verify_entry(e)
         assert r.consistency["printed_k"] == NOT_APPLICABLE
         assert r.all_consistency_pass
+
+    def test_every_quantity_name_reads_its_report_field(self):
+        # q_min is accepted though no shipped entry uses it.
+        e = replace(by_name("deweger"), expected={
+            name: (Decimal(0), Decimal(1)) for name in (
+                "G_a", "G_p", "q", "ga_min", "q_min", "gp_max_strong", "gp_max_ultra",
+                "radical_P", "limit_ratio",
+            )
+        })
+        g = compute_gains(validate_solution(e.n, e.x, e.y, e.A, e.B, e.k_derived))
+        with localcontext(CTX):
+            limit_ratio = g.G_p / g.gp_max_strong
+        r = verify_entry(e)
+        actual = {name: v.actual for name, v in r.quantities.items()}
+        assert actual == {
+            "G_a": g.G_a, "G_p": g.G_p, "q": g.q, "ga_min": g.ga_min, "q_min": g.q_min,
+            "gp_max_strong": g.gp_max_strong, "gp_max_ultra": g.gp_max_ultra,
+            "radical_P": g.R, "limit_ratio": limit_ratio,
+        }
+
+    @pytest.mark.parametrize("name", ["bogus", "R", "k1_q_bound", "gp_max_custom", "triviality"])
+    def test_unknown_quantity_name_raises(self, name):
+        e = replace(by_name("deweger"), expected={name: (Decimal(0), Decimal(1))})
+        with pytest.raises(ValueError, match="unknown corpus quantity"):
+            verify_entry(e)
 
     def test_verification_is_deterministic(self):
         for e in builtin_corpus():

@@ -4,10 +4,10 @@ Frozen reference values were computed with an independent high-precision
 oracle (mpmath at 60 significant digits) and pasted here as strings.
 """
 
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gainlab.bigmath import CTX, gcd3, ipow
 from gainlab.gains import (
@@ -36,6 +36,8 @@ from gainlab.gains import (
 
 ABS_TOL = Decimal("1e-45")
 REL_TOL = Decimal("1e-40")
+# A 64-digit value within a few units of its last digit.
+BOUND_REL_TOL = Decimal("1e-62")
 
 # (n, x, y, A, B, k) for the three worked examples used throughout.
 REYSSAT = (5, 9, 23, 109, 1, 2)
@@ -183,6 +185,12 @@ class TestComputeGains:
         assert g.k1_q_bound == Decimal("1.5")
         assert g.triviality == NON_TRIVIAL
 
+    @pytest.mark.parametrize("tup", [REYSSAT, DEWEGER, SMALL], ids=["reyssat", "deweger", "small"])
+    def test_q_min_is_ga_min(self, tup):
+        s = validate_solution(*tup)
+        for g in (compute_gains(s), compute_gains_partial(s)):
+            assert g.q_min == g.ga_min
+
     def test_custom_cap_matches_ultra_at_same_value(self):
         s = validate_solution(*DEWEGER)
         g = compute_gains(s, q_max_custom=custom_qmax("1.5"))
@@ -235,11 +243,32 @@ class TestBoundFormulas:
         st.integers(min_value=2, max_value=10 ** 6),
     )
     def test_q_lower_equals_ga_lower(self, n, A, B, y):
-        # The two formulas are one identity written two ways.
-        ga = ga_lower_bound(n, A, B, y)
-        q = q_lower_bound(n, A, B, y)
-        with localcontext(CTX):
-            assert abs(ga - q) <= REL_TOL * ga
+        # q = G_a * G_p with G_p >= 1: the floor on G_a is the floor on q.
+        assert q_lower_bound(n, A, B, y) == ga_lower_bound(n, A, B, y)
+
+    @given(
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=1, max_value=10 ** 6),
+        st.integers(min_value=1, max_value=10 ** 6),
+        st.integers(min_value=2, max_value=10 ** 6),
+    )
+    @example(2, 1, 1, 2)
+    @example(59, NITAJ_A_PRODUCT, 1, 2)
+    @example(3, 3087, 23, 128)
+    def test_bounds_match_a_wide_reference(self, n, A, B, y):
+        # D = n + 2 + (n-1) ln(AB) / ln(B y^n) at 120 digits; every bound is
+        # n/D or q_max*D/n and must agree with it to the 64th digit.
+        with localcontext(Context(prec=120)):
+            ln_byn = n * Decimal(y).ln() + Decimal(B).ln()
+            d = n + 2 + (n - 1) * Decimal(A * B).ln() / ln_byn
+            expected = [
+                (ga_lower_bound(n, A, B, y), n / d),
+                (q_lower_bound(n, A, B, y), n / d),
+                (gp_upper_bound(n, A, B, y, QMAX_STRONG), QMAX_STRONG.value * d / n),
+                (gp_upper_bound(n, A, B, y, QMAX_ULTRA), QMAX_ULTRA.value * d / n),
+            ]
+            for got, ref in expected:
+                assert abs(got - ref) <= BOUND_REL_TOL * ref
 
     @given(
         st.integers(min_value=2, max_value=60),
