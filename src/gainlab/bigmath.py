@@ -167,13 +167,40 @@ def ln_product(terms) -> Decimal:
     for b, e in terms:
         log = ln_cached(b)
         total = add(total, log if e == 1 else mul(log, e))
+    return _rounded(total, len(terms), terms)
+
+
+def _rounded(total: Decimal, count: int, terms) -> Decimal:
+    """The wide sum total of count terms at LN_PRECISION digits, if proven.
+
+    The rounding test of ln_product; when it fails, the log of the product
+    of terms, an iterable of (b, e), is taken directly.
+    """
     if total.is_zero():
         return _ZERO
-    err = Decimal(len(terms) + 1).scaleb(total.adjusted() + 2 - _WIDE.prec)
+    err = Decimal(count + 1).scaleb(total.adjusted() + 2 - _WIDE.prec)
     lo = CTX.subtract(total, err)
     if lo == CTX.add(total, err):
         return lo
     return ln_exact(math.prod(b ** e for b, e in terms))
+
+
+def _ln_power_and_radical(factors) -> tuple[Decimal, Decimal]:
+    """(ln_product(factors), ln_product of the primes alone), in one pass.
+
+    factors is a prime factorization ((p, e), ...).  Both sums see the same
+    cached logs in the same order as the two ln_product calls would, and
+    each keeps its own rounding test and fallback, so both values are the
+    same correctly rounded logs.
+    """
+    add, mul = _WIDE.add, _WIDE.multiply
+    ln_p = ln_r = _ZERO
+    for p, e in factors:
+        log = ln_cached(p)
+        ln_r = add(ln_r, log)
+        ln_p = add(ln_p, log if e == 1 else mul(log, e))
+    count = len(factors)
+    return _rounded(ln_p, count, factors), _rounded(ln_r, count, ((p, 1) for p, _ in factors))
 
 
 def ln_big(v: int) -> BigLog:

@@ -1,15 +1,15 @@
 """Integer factorization and radicals.
 
 The pipeline is trial division by the primes below 10^4, then
-deterministic Miller-Rabin certificates, then exact perfect-power roots,
-then Brent-cycle Pollard rho under an iteration budget.  Trial division
-takes the gcd of the value with the product of each of three blocks of
-those primes (Bernstein, "How to find smooth parts of integers", 2004),
-stops at the first block whose least prime squared exceeds the value,
-and divides only by the primes of those gcds.  A blown budget is always
-a reported error carrying the partial result, never a silently
-incomplete radical: a wrong radical would corrupt every gain value
-computed from it.
+deterministic Miller-Rabin certificates with as many witnesses as the
+value's size needs, then exact perfect-power roots, then Brent-cycle
+Pollard rho under an iteration budget.  Trial division takes the gcd of
+the value with the product of each of three blocks of those primes
+(Bernstein, "How to find smooth parts of integers", 2004), stops at the
+first block whose least prime squared exceeds the value, and divides
+only by the primes of those gcds.  A blown budget is always a reported
+error carrying the partial result, never a silently incomplete radical:
+a wrong radical would corrupt every gain value computed from it.
 """
 
 from __future__ import annotations
@@ -29,12 +29,22 @@ _TRIAL_LIMIT = 10 ** 4
 # Every prime left after trial division exceeds 2**_ROOT_BITS.
 _ROOT_BITS = _TRIAL_LIMIT.bit_length() - 1
 
-# Witnesses proving primality for every integer below 3.3 * 10**24
-# (first thirteen primes).  Larger candidates get an extended fixed list;
-# no value this package produces comes near that range.
+# Miller-Rabin witness sets by size: the first j prime bases prove
+# primality for every odd n below psi_j, the least strong pseudoprime to
+# all of them (psi_4: Pomerance, Selfridge and Wagstaff 1980; psi_7:
+# Jaeschke 1993; psi_9 and psi_12: Jiang and Deng 2014; psi_13: Sorenson
+# and Webster 2015).  Each psi_j is itself composite, so the bounds are
+# strict.  Above psi_13 an extended fixed list is used; no value this
+# package produces comes near that range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
-_MR_EXTRA_WITNESSES = (
+_MR_TIERS = (
+    (3_215_031_751, _MR_WITNESSES[:4]),
+    (341_550_071_728_321, _MR_WITNESSES[:7]),
+    (3_825_123_056_546_413_051, _MR_WITNESSES[:9]),
+    (318_665_857_834_031_151_167_461, _MR_WITNESSES[:12]),
+    (3_317_044_064_679_887_385_961_981, _MR_WITNESSES),
+)
+_MR_EXTENDED = _MR_WITNESSES + (
     43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109,
     113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
 )
@@ -130,7 +140,12 @@ def clear_cache() -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality certificate, deterministic below 3.3e24."""
+    """Miller-Rabin primality certificate, deterministic below 3.3e24.
+
+    Runs only as many witnesses as n's size needs (see _MR_TIERS): four
+    below 3.2e9, seven below 3.4e14, nine below 3.8e18 (so every n below
+    2**64 takes at most nine), twelve below 3.2e23.
+    """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("is_prime expects an integer")
     if n < 2:
@@ -141,9 +156,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    witnesses = _MR_WITNESSES
-    if n >= _MR_DETERMINISTIC_BELOW:
-        witnesses = _MR_WITNESSES + _MR_EXTRA_WITNESSES
+    witnesses = next((w for below, w in _MR_TIERS if n < below), _MR_EXTENDED)
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

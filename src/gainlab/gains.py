@@ -16,16 +16,20 @@ plus the bounds, all from one term evaluated at 64 digits:
 at quality caps 2 (strong), 1.5 (ultra) or a custom one, and the q > n/2
 bound for the k = 1, A = B = 1 case.  q_min is ga_min because
 q = G_a * G_p and G_p >= 1.
+
+quality_below screens a tuple against a quality threshold in floats,
+with a proven margin, before any 64-digit log is taken.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 
-from .bigmath import CTX, LN_PRECISION, ln_big, ln_exact, ln_product
+from .bigmath import CTX, LN_PRECISION, _ln_power_and_radical, ln_big, ln_exact, ln_product
 from .factor import Factorization, factorize_product
 
 NON_TRIVIAL = "non_trivial"
@@ -320,8 +324,7 @@ def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | Non
         ln_p = ln_exact(P)
     else:
         R = f.radical()
-        ln_p = ln_product(f.factors)
-        ln_r = ln_product(tuple((p, 1) for p, _ in f.factors))
+        ln_p, ln_r = _ln_power_and_radical(f.factors)
     with localcontext(CTX):
         g_a = ln_c / ln_p
         if R is not None:
@@ -357,6 +360,55 @@ def compute_gains(
     """
     f = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
     return _build_report(s, f, q_max_custom)
+
+
+# Relative error bound of one math.log of an int >= 2 (see quality_below).
+_LOG_ERR = 2.0 ** -51
+
+
+def quality_below(s: Solution, threshold: Decimal, *, budget: int | None = None) -> bool:
+    """True only if s's 64-digit quality q is proven below threshold.
+
+    A float screen for threshold hunts, run before any 64-digit log: it
+    factors x, y, A, B and k as compute_gains does (so a tuple it keeps
+    finds them in the factor cache) and tests
+
+        ln C < t * ln R * (1 - margin),   margin = (m + 16) * 2**-52,
+
+    with ln C = log(B) + n*log(y), ln R the sum of log(p) over the m primes
+    of P, every log taken by math.log, and t = float(threshold).  It
+    rejects nothing when t is inf, nan or at most 0, or when ln R is 0:
+    the right side is then inf, nan or at most 0.  Raises
+    FactorBudgetExceeded as compute_gains does.
+
+    Proof that a rejected tuple has q < threshold.  Let u = 2**-53, the
+    unit roundoff.  math.log(v) of an int v >= 2 is log(float(v)), or for
+    v >= 2**1024 the log of a 53-bit mantissa plus e*log(2).  float(v) is
+    correctly rounded, which moves the log by at most 1.01u < 1.5u*ln v;
+    the C library's log is taken to be within one ulp (glibc's is within
+    0.52), at most 2u*ln v.  So each log has relative error below
+    4u = _LOG_ERR (on the mantissa path too, where ln v > 709);
+    tests/test_search.py checks this bound against Decimal.ln.  Every term
+    is nonnegative, so no cancellation amplifies the errors: the computed
+    ln C is at least ln C*(1-4u)*(1-u)**2 (two logs, a product by n, a
+    sum); the computed ln R is at most ln R*(1+4u)*(1+u)**(m-1) (m logs,
+    m-1 sums), and a compensated sum stays within that to first order; t
+    is at most threshold*(1+u) when it is a normal float, float(Decimal)
+    being correctly rounded; and 1 - margin and the two products add three
+    roundings.  If the test holds, the right side lies between the
+    computed ln C >= log(4) > 1 and inf, so t and both products are normal
+    floats (ln R < 2**1022 for any value that fits in memory).  Then
+    ln C*(1-4u)*(1-u)**2 < threshold*ln R*(1-margin)*(1+4u)*(1+u)**(m+3),
+    so q = ln C/ln R < threshold*(1-2(m+16)u)*(1+(m+14)u) <
+    threshold*(1-(m+17)u).  The report's q is the 64-digit quotient of two
+    correctly rounded 64-digit logs, within 10**-62 of q relatively, so it
+    is below threshold too: compute_gains' report would have been dropped.
+    """
+    primes = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget).factors
+    ln_r = sum(math.log(p) for p, _ in primes)
+    ln_c = math.log(s.B) + s.n * math.log(s.y)
+    bound = float(threshold) * ln_r * (1.0 - (len(primes) + 16) * 2.0 ** -52)
+    return ln_c < bound < math.inf
 
 
 def compute_gains_partial(s: Solution, *, q_max_custom: QMax | None = None) -> GainReport:

@@ -3,7 +3,9 @@
 Two modes: fixed_k scans the (n, A, B, x, k) cells with one exact root
 per (n, A, B, x), for the least y whose k = B*y^n - A*x^n reaches the
 k window, and steps y up while k stays inside it; derived_k iterates
-(n, A, B, x, y) and sets k = B*y^n - A*x^n.  A deliberately dumb
+(n, A, B, x, y) and sets k = B*y^n - A*x^n.  A derived_k hunt with a
+quality threshold screens each factored tuple in floats first and builds
+64-digit reports only for those not proven below it.  A deliberately dumb
 brute-force oracle backs both in tests.  Boxes split into disjoint
 sub-boxes whose merged results are identical to a single-box run, so
 parallel schedules cannot change output.
@@ -24,6 +26,7 @@ from .gains import (
     Solution,
     compute_gains,
     compute_gains_partial,
+    quality_below,
     validate_solution,
 )
 
@@ -184,13 +187,16 @@ _ORDER = {
 }
 
 
-def _scan(box: SearchBox, mode: str, ceiling: int, budget: int | None, cells) -> SearchResult:
+def _scan(
+    box: SearchBox, mode: str, ceiling: int, budget: int | None, cells, screen: bool = False
+) -> SearchResult:
     """Validate the box, report every candidate that cells yields, filter, sort.
 
     cells(box, progress) is a generator over the normalized box that yields
     (n, x, y, A, B, k) for each coprime candidate of the mode and counts its
     cells on progress.  In derived_k mode only, a q_threshold drops reports
-    of lower known quality.
+    of lower known quality; with screen, candidates that quality_below
+    proves below it are dropped before their report is built.
     """
     b = _normalized(box, mode)
     total = cell_count(b)
@@ -198,11 +204,14 @@ def _scan(box: SearchBox, mode: str, ceiling: int, budget: int | None, cells) ->
         raise BoxTooLarge(total, ceiling)
     t0 = perf_counter()
     threshold = b.q_threshold if mode == DERIVED_K else None
+    screened = threshold if screen else None
     out: list[tuple[Solution, GainReport]] = []
     progress = _Progress(total, out)
     for n, x, y, A, B, k in cells(b, progress):
         s = validate_solution(n, x, y, A, B, k)
         try:
+            if screened is not None and quality_below(s, screened, budget=budget):
+                continue
             report = compute_gains(s, budget=budget)
         except FactorBudgetExceeded:
             # The solution itself is exact; only radical-dependent fields are
@@ -303,10 +312,15 @@ def hunt_derived_k(
 
     Tuples with k < 1 are skipped (the dominant-term requirement), the
     coprimality gate is exact, and an optional q_threshold keeps only
-    solutions with q >= threshold.  Output is sorted by descending q with
+    solutions with q >= threshold.  With a threshold every coprime tuple
+    is still factored, but only those that the proven float screen
+    (gains.quality_below) does not place below the threshold get 64-digit
+    logs and a report; the exact comparison then decides.  A tuple whose
+    factorization exceeds the budget gets a partial report, which the
+    threshold never drops.  Output is sorted by descending q with
     canonical order breaking ties.
     """
-    return _scan(box, DERIVED_K, cell_ceiling, budget, _derived_k_cells)
+    return _scan(box, DERIVED_K, cell_ceiling, budget, _derived_k_cells, screen=True)
 
 
 def _oracle_cells(b: SearchBox, progress: _Progress):
@@ -348,7 +362,8 @@ def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchRe
     Matches the mode-appropriate search's output contract exactly (same
     filters, same ordering).  In fixed_k mode it loops over y as well
     instead of deriving it, so cells_scanned counts its own six-axis scan.
-    It prints no progress.  Only intended for tests; the cell ceiling is
+    It builds every report before applying a threshold (no float screen)
+    and prints no progress.  Only intended for tests; the cell ceiling is
     a hard 10^7.
     """
     return _scan(box, box.mode, ORACLE_CELL_CEILING, budget, _oracle_cells)

@@ -5,6 +5,7 @@ import math
 import pytest
 import sympy
 from hypothesis import given, strategies as st
+from sympy.ntheory.primetest import mr
 
 from gainlab.factor import (
     BUDGET_ENV_VAR,
@@ -170,6 +171,24 @@ class TestTrialDivision:
         self.agrees(p * math.prod(smooth))
 
 
+# psi_j, the least strong pseudoprime to the first j prime bases.  is_prime
+# runs 4, 7, 9, 12 or 13 bases below psi_4, psi_7, psi_9, psi_12 and psi_13,
+# so the others are composites that a tier must still catch.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    9: 3825123056546413051,
+    12: 318665857834031151167461,
+    13: 3317044064679887385961981,
+}
+
+
 class TestIsPrime:
     def test_known_primes(self):
         for p in (2, 3, 5, 97, 10 ** 9 + 7, HARD_P, 192152758208292083):
@@ -180,6 +199,47 @@ class TestIsPrime:
         # to bases 2, 3, 5 and 7 simultaneously.
         for c in (0, 1, 4, 561, 3215031751, HARD_P * HARD_Q):
             assert not is_prime(c)
+
+    @pytest.mark.parametrize("j", sorted(PSI))
+    def test_each_psi_is_composite(self, j):
+        psi = PSI[j]
+        # The fixture: a composite strong pseudoprime to the first j bases.
+        assert not sympy.isprime(psi)
+        assert mr(psi, PRIME_BASES[:j])
+        assert not is_prime(psi)
+
+    @pytest.mark.parametrize("psi", sorted(PSI.values()))
+    def test_neighbours_of_each_psi(self, psi):
+        for v in range(psi - 300, psi + 301):
+            assert is_prime(v) == sympy.isprime(v), v
+
+    @pytest.mark.parametrize("psi", sorted(PSI.values()))
+    def test_primes_just_below_each_psi(self, psi):
+        p = psi
+        for _ in range(5):
+            p = sympy.prevprime(p)
+            assert is_prime(p)
+
+    @given(st.integers(min_value=0, max_value=10 ** 25))
+    def test_agrees_with_sympy_up_to_1e25(self, v):
+        assert is_prime(v) == sympy.isprime(v)
+        p = sympy.nextprime(v)
+        assert is_prime(p)
+
+    @given(
+        st.integers(min_value=2, max_value=10 ** 13),
+        st.integers(min_value=2, max_value=10 ** 13),
+    )
+    def test_semiprimes_up_to_1e26(self, a, b):
+        assert not is_prime(sympy.nextprime(a) * sympy.nextprime(b))
+
+    @pytest.mark.parametrize("t", [1, 1025, 100291, 1000051, 10000146, 100000131])
+    def test_chernick_carmichael_numbers(self, t):
+        # Chernick (1939): (6t+1)(12t+1)(18t+1) is a Carmichael number when
+        # its three factors are prime, as they are for these t (one per tier).
+        factors = (6 * t + 1, 12 * t + 1, 18 * t + 1)
+        assert all(sympy.isprime(f) for f in factors)
+        assert not is_prime(math.prod(factors))
 
 
 class TestRadical:

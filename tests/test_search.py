@@ -1,16 +1,18 @@
 """Box search: fixed-k enumeration, derived-k hunt, oracle equivalence."""
 
+import math
 import re
-from decimal import Decimal, localcontext
+from dataclasses import replace
+from decimal import Context, Decimal, localcontext
 
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from gainlab import bigmath, search
+from gainlab import bigmath, gains, search
 from gainlab.bigmath import CTX, clear_ln_cache
 from gainlab.factor import clear_cache
-from gainlab.gains import check_solution
+from gainlab.gains import check_solution, quality_below, validate_solution
 from gainlab.search import (
     BoxTooLarge,
     DEFAULT_CELL_CEILING,
@@ -479,6 +481,86 @@ class TestBudgetPartials:
         # Quality is unknown, so the threshold cannot justify dropping it.
         assert len(result.solutions) == 1
         assert result.solutions[0][1].q is None
+
+
+class TestScreen:
+    """A threshold hunt drops tuples proven below the threshold before any report."""
+
+    REYSSAT_BOX = derived_box((5, 5), (9, 9), (23, 23), (109, 109), (1, 1))
+    # The 64-digit q that hunt_derived_k reports for the Reyssat cell.
+    REYSSAT_Q64 = Decimal("1.629911684127048184630860054535604882258701066736290987863166712")
+
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.sampled_from(["0", "1e-63", "-1e-63", "1e-14", "-1e-14", "1e-3", "-1e-3"]),
+    )
+    @example(5, 9, 0, 23, 0, 109, 0, 1, 0, 0, "0")  # threshold = Reyssat's exact q
+    def test_threshold_hunt_equals_the_filtered_hunt(
+        self, n, x_lo, x_w, y_lo, y_w, a_lo, a_w, b_lo, b_w, pick, nudge
+    ):
+        box = derived_box(
+            (n, n), (x_lo, x_lo + x_w), (y_lo, y_lo + y_w), (a_lo, a_lo + a_w), (b_lo, b_lo + b_w)
+        )
+        full = hunt_derived_k(box)
+        qs = [g.q for _, g in full.solutions if g.q is not None]
+        # A threshold at, or a hair either side of, one of the box's qualities.
+        with localcontext(CTX):
+            t = qs[pick % len(qs)] * (1 + Decimal(nudge)) if qs else Decimal(1)
+        screened = hunt_derived_k(replace(box, q_threshold=t))
+        kept = tuple(item for item in full.solutions if item[1].q is None or item[1].q >= t)
+        assert screened.solutions == kept
+        assert screened.cells_scanned == full.cells_scanned
+
+    def test_threshold_at_an_exact_quality_keeps_it(self):
+        box = replace(self.REYSSAT_BOX, q_threshold=self.REYSSAT_Q64)
+        assert keys(hunt_derived_k(box)) == [(5, 2, 109, 1, 9, 23)]
+        above = replace(box, q_threshold=self.REYSSAT_Q64.next_plus(CTX))
+        assert hunt_derived_k(above).solutions == ()
+
+    def test_dropped_tuples_build_no_report(self, monkeypatch):
+        # The benchmark's hunt_high_n box at seed 0.
+        box = derived_box((7, 12), (2, 34), (2, 34), (1, 2), (1, 2), q_threshold=Decimal("1.1"))
+        built = []
+        compute_gains = search.compute_gains
+        monkeypatch.setattr(
+            search, "compute_gains", lambda s, **kw: built.append(s) or compute_gains(s, **kw)
+        )
+        clear_ln_cache()
+        result = hunt_derived_k(box)
+        # 4,512 coprime tuples; only the 10 kept ones get a report, and the
+        # 64-digit logs are those of their primes and bound parameters.
+        assert len(result.solutions) == 10
+        assert sorted(s.canonical_key() for s in built) == sorted(keys(result))
+        assert len(bigmath._ln_cache) < 100
+
+    def test_screen_rejects_nothing_it_cannot_prove(self):
+        s = validate_solution(5, 9, 23, 109, 1, 2)
+        for t in ("1e400", "NaN", "-Infinity", "1e-310", "1e-400", "0", "-2", "1.629911684127048"):
+            assert not quality_below(s, Decimal(t)), t
+        assert quality_below(s, Decimal("1.629911684128"))
+
+    @given(st.integers(min_value=2, max_value=2 ** 256))
+    @example(2 ** 53 + 1)
+    @example(2 ** 256)
+    @example(2 ** 1024 + 1)
+    @example(3 ** 1000)
+    @example(10 ** 400 - 1)
+    def test_log_error_bound(self, v):
+        # The per-log bound the screen's margin rests on, against a
+        # 40-digit Decimal.ln.
+        wide = Context(prec=40)
+        exact = Decimal(v).ln(wide)
+        error = abs(wide.subtract(Decimal(math.log(v)), exact))
+        assert error <= wide.multiply(Decimal(gains._LOG_ERR), exact)
 
 
 class TestLogOracle:
