@@ -45,17 +45,12 @@ class BigLog:
     precision_digits: int
 
 
-def gcd3(a: int, b: int, c: int) -> int:
-    """Greatest common divisor of three nonnegative integers.
-
-    gcd3(0, 0, 0) = 0 by convention.
-    """
-    for v in (a, b, c):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError("gcd3 expects integers")
-        if v < 0:
-            raise ValueError("gcd3 expects nonnegative integers")
-    return math.gcd(a, b, c)
+def int_text(v: int) -> str:
+    """str(v), or its bit length when v has more digits than str() allows."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"{'-' if v < 0 else ''}<{v.bit_length()}-bit integer>"
 
 
 def ipow(base: int, exp: int) -> int:
@@ -167,40 +162,13 @@ def ln_product(terms) -> Decimal:
     for b, e in terms:
         log = ln_cached(b)
         total = add(total, log if e == 1 else mul(log, e))
-    return _rounded(total, len(terms), terms)
-
-
-def _rounded(total: Decimal, count: int, terms) -> Decimal:
-    """The wide sum total of count terms at LN_PRECISION digits, if proven.
-
-    The rounding test of ln_product; when it fails, the log of the product
-    of terms, an iterable of (b, e), is taken directly.
-    """
     if total.is_zero():
         return _ZERO
-    err = Decimal(count + 1).scaleb(total.adjusted() + 2 - _WIDE.prec)
+    err = Decimal(len(terms) + 1).scaleb(total.adjusted() + 2 - _WIDE.prec)
     lo = CTX.subtract(total, err)
     if lo == CTX.add(total, err):
         return lo
     return ln_exact(math.prod(b ** e for b, e in terms))
-
-
-def _ln_power_and_radical(factors) -> tuple[Decimal, Decimal]:
-    """(ln_product(factors), ln_product of the primes alone), in one pass.
-
-    factors is a prime factorization ((p, e), ...).  Both sums see the same
-    cached logs in the same order as the two ln_product calls would, and
-    each keeps its own rounding test and fallback, so both values are the
-    same correctly rounded logs.
-    """
-    add, mul = _WIDE.add, _WIDE.multiply
-    ln_p = ln_r = _ZERO
-    for p, e in factors:
-        log = ln_cached(p)
-        ln_r = add(ln_r, log)
-        ln_p = add(ln_p, log if e == 1 else mul(log, e))
-    count = len(factors)
-    return _rounded(ln_p, count, factors), _rounded(ln_r, count, ((p, 1) for p, _ in factors))
 
 
 def ln_big(v: int) -> BigLog:

@@ -163,11 +163,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _display(value: Decimal | None, digits: int = DISPLAY_DIGITS) -> str | None:
+def _display(value: Decimal | None) -> str | None:
     if value is None:
         return None
     # format(..., "f") keeps plain decimal notation at any magnitude.
-    return format(round_sig(value, digits), "f")
+    return format(round_sig(value, DISPLAY_DIGITS), "f")
 
 
 def _report_doc(fields: dict) -> dict:
@@ -185,11 +185,7 @@ def _report_doc(fields: dict) -> dict:
     return doc
 
 
-def solution_report(
-    s: Solution,
-    g: GainReport,
-    digits: int = DISPLAY_DIGITS,
-) -> dict:
+def solution_report(s: Solution, g: GainReport) -> dict:
     """The per-solution report document, keys in fixed order."""
     axn = s.A * s.x ** s.n
     fields = {
@@ -209,7 +205,7 @@ def solution_report(
         "thm5_holds": None if g.q is None else bool(g.q > g.q_min),
     }
     for name in REPORT_SCHEMA["gains"] + REPORT_SCHEMA["bounds"]:
-        fields[name] = _display(getattr(g, name), digits)
+        fields[name] = _display(getattr(g, name))
     return _report_doc(fields)
 
 
@@ -282,7 +278,7 @@ def _emit_validation_failure(err: SolutionError, fmt: str) -> None:
     if fmt == "csv":
         print("kind,residual")
         for v in violations:
-            print(f"{v.kind},{_csv_cell(None if v.residual is None else v.residual)}")
+            print(f"{v.kind},{_csv_cell(v.residual)}")
         return
     print("invalid solution:")
     for v in violations:
@@ -395,16 +391,11 @@ def _run_verify_corpus(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         quantities = {}
         for qty, verdict in report.quantities.items():
-            if verdict.actual is None:
-                shown = None
-            elif isinstance(verdict.actual, int):
-                shown = str(verdict.actual)
-            else:
-                shown = _display(verdict.actual)
+            actual = verdict.actual
             quantities[qty] = {
                 "expected": str(verdict.expected),
                 "tolerance": str(verdict.tolerance),
-                "actual": shown,
+                "actual": str(actual) if isinstance(actual, int) else _display(actual),
                 "pass": verdict.passed,
             }
         entries.append(
@@ -465,13 +456,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # Terms are exact at any size, so the interpreter's int-to-str digit
+    # limit is lifted for this call and restored on return.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exit_:
         # argparse exits 2 on usage errors and 0 for --help.
         code = exit_.code
         return code if isinstance(code, int) else EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Integer factorization and radicals.
 
 The pipeline is trial division by the primes below 10^4, then
-deterministic Miller-Rabin certificates with as many witnesses as the
-value's size needs, then exact perfect-power roots, then Brent-cycle
-Pollard rho under an iteration budget.  Trial division takes the gcd of
-the value with the product of each of three blocks of those primes
-(Bernstein, "How to find smooth parts of integers", 2004), stops at the
-first block whose least prime squared exceeds the value, and divides
-only by the primes of those gcds.  A blown budget is always a reported
-error carrying the partial result, never a silently incomplete radical:
-a wrong radical would corrupt every gain value computed from it.
+Miller-Rabin with as many witnesses as the value's size needs (a proof
+below psi_13 = 3.3e24, a probable-prime test above), then exact
+perfect-power roots, then Brent-cycle Pollard rho under an iteration
+budget.  Trial division takes the gcd of the value with the product of
+each of three blocks of those primes (Bernstein, "How to find smooth
+parts of integers", 2004), stops at the first block whose least prime
+squared exceeds the value, and divides only by the primes of those gcds.
+A blown budget is always a reported error carrying the partial result,
+never a silently incomplete radical: a wrong radical would corrupt every
+gain value computed from it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .bigmath import nth_root_floor
+from .bigmath import int_text, nth_root_floor
 
 DEFAULT_FACTOR_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "GAINLAB_FACTOR_BUDGET"
@@ -34,8 +35,9 @@ _ROOT_BITS = _TRIAL_LIMIT.bit_length() - 1
 # all of them (psi_4: Pomerance, Selfridge and Wagstaff 1980; psi_7:
 # Jaeschke 1993; psi_9 and psi_12: Jiang and Deng 2014; psi_13: Sorenson
 # and Webster 2015).  Each psi_j is itself composite, so the bounds are
-# strict.  Above psi_13 an extended fixed list is used; no value this
-# package produces comes near that range.
+# strict.  Above psi_13 an extended list of 43 bases is used, and there the
+# test is a probable-prime test, not a proof; analyze reaches that range
+# with any k above 3.3e24, such as the prime 20000000000000000000000009.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_TIERS = (
     (3_215_031_751, _MR_WITNESSES[:4]),
@@ -83,10 +85,7 @@ class Factorization:
     complete: bool
 
     def product(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p ** e
-        return out
+        return math.prod(p ** e for p, e in self.factors)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -105,8 +104,8 @@ class FactorBudgetExceeded(RuntimeError):
 
     def __init__(self, value: int, partial: Factorization, cofactor: int):
         super().__init__(
-            f"factorization budget exceeded for {value}: "
-            f"composite cofactor {cofactor} remains"
+            f"factorization budget exceeded for {int_text(value)}: "
+            f"composite cofactor {int_text(cofactor)} remains"
         )
         self.value = value
         self.partial = partial
@@ -140,11 +139,12 @@ def clear_cache() -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality certificate, deterministic below 3.3e24.
+    """Miller-Rabin primality test, a proof below psi_13 = 3.3e24.
 
     Runs only as many witnesses as n's size needs (see _MR_TIERS): four
     below 3.2e9, seven below 3.4e14, nine below 3.8e18 (so every n below
-    2**64 takes at most nine), twelve below 3.2e23.
+    2**64 takes at most nine), twelve below 3.2e23.  Above psi_13 the
+    43-base test is a probable-prime test, not a proof.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("is_prime expects an integer")
@@ -327,17 +327,6 @@ def factorize(v: int, budget: int | None = None, memoize: bool = True) -> Factor
     if memoize:
         _cache[v] = result
     return result
-
-
-def radical(v: int, budget: int | None = None, memoize: bool = True) -> int:
-    """Product of the distinct primes dividing v; radical(1) = 1."""
-    return factorize(v, budget=budget, memoize=memoize).radical()
-
-
-def is_squarefree(v: int, budget: int | None = None) -> bool:
-    """True iff no prime divides v twice, i.e. radical(v) = v."""
-    f = factorize(v, budget=budget)
-    return all(e == 1 for _, e in f.factors)
 
 
 def factorize_product(components: tuple[int, ...] | list[int], budget: int | None = None) -> Factorization:

@@ -29,7 +29,7 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 
-from .bigmath import CTX, LN_PRECISION, _ln_power_and_radical, ln_big, ln_exact, ln_product
+from .bigmath import CTX, LN_PRECISION, int_text, ln_big, ln_exact, ln_product
 from .factor import Factorization, factorize_product
 
 NON_TRIVIAL = "non_trivial"
@@ -187,7 +187,7 @@ def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Validation
         if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
         if v < 0:
-            raise ValueError(f"{name} must be nonnegative, got {v}")
+            raise ValueError(f"{name} must be nonnegative, got {int_text(v)}")
 
     violations: list[Violation] = []
     _require_int("n", n, 2, violations)
@@ -204,7 +204,7 @@ def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Validation
             violations.append(
                 Violation(
                     IDENTITY_VIOLATION,
-                    f"B*y^n - A*x^n - k = {residual}, expected 0",
+                    f"B*y^n - A*x^n - k = {int_text(residual)}, expected 0",
                     residual=residual,
                 )
             )
@@ -213,7 +213,7 @@ def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Validation
         violations.append(
             Violation(
                 COPRIMALITY_VIOLATION,
-                f"gcd(A*x, B*y, k) = {g}, expected 1",
+                f"gcd(A*x, B*y, k) = {int_text(g)}, expected 1",
             )
         )
     return ValidationReport(tuple(violations))
@@ -324,7 +324,8 @@ def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | Non
         ln_p = ln_exact(P)
     else:
         R = f.radical()
-        ln_p, ln_r = _ln_power_and_radical(f.factors)
+        ln_p = ln_product(f.factors)
+        ln_r = ln_product(tuple((p, 1) for p, _ in f.factors))
     with localcontext(CTX):
         g_a = ln_c / ln_p
         if R is not None:

@@ -19,7 +19,7 @@ from decimal import Decimal
 from math import gcd
 from time import perf_counter
 
-from .bigmath import nth_root_floor
+from .bigmath import int_text, nth_root_floor
 from .factor import FactorBudgetExceeded
 from .gains import (
     GainReport,
@@ -44,7 +44,7 @@ class BoxTooLarge(ValueError):
     """The box's cell count exceeds the allowed ceiling."""
 
     def __init__(self, cells: int, ceiling: int):
-        super().__init__(f"box has {cells} cells, ceiling is {ceiling}")
+        super().__init__(f"box has {int_text(cells)} cells, ceiling is {ceiling}")
         self.cells = cells
         self.ceiling = ceiling
 

@@ -18,7 +18,6 @@ from gainlab.bigmath import (
     LN_GUARD,
     LN_PRECISION,
     clear_ln_cache,
-    gcd3,
     ipow,
     ln_big,
     ln_cached,
@@ -34,40 +33,6 @@ LN_53130 = Decimal("10.880497019444988915387285844825395060149763944811")
 ABS_TOL = Decimal("1e-45")
 
 HARD_PRIME = 1000000000039
-
-
-class TestGcd3:
-    def test_deweger_triple_is_coprime(self):
-        # A*x = 3087*25, B*y = 23*128, k = 121.
-        assert gcd3(77175, 2944, 121) == 1
-
-    def test_gcd_with_zeros(self):
-        assert gcd3(0, 0, 5) == 5
-        assert gcd3(0, 0, 0) == 0
-
-    def test_three_way_example(self):
-        assert gcd3(12, 18, 30) == 6
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gcd3(-1, 2, 3)
-
-    def test_rejects_non_integer(self):
-        with pytest.raises(TypeError):
-            gcd3(1.5, 2, 3)
-
-    @given(
-        st.integers(min_value=0, max_value=10 ** 12),
-        st.integers(min_value=0, max_value=10 ** 12),
-        st.integers(min_value=0, max_value=10 ** 12),
-    )
-    def test_divides_each_argument_and_permutes(self, a, b, c):
-        g = gcd3(a, b, c)
-        if g:
-            assert a % g == 0 and b % g == 0 and c % g == 0
-        else:
-            assert a == b == c == 0
-        assert g == gcd3(b, c, a) == gcd3(c, a, b) == gcd3(b, a, c)
 
 
 class TestIpow:

@@ -261,6 +261,27 @@ class TestAnalyzeFailures:
         assert "error:" in err
 
 
+class TestPastTheIntToStrDigitLimit:
+    def test_hunt_prints_the_exact_terms(self, capsys, monkeypatch):
+        # C = (10^2200 + 1)^2 has 4,401 digits, past Python's default
+        # int-to-str limit of 4,300.  A zero budget stops the factoring of
+        # y at once, so the report is partial.
+        clear_cache()
+        monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+        x = 10 ** 2200
+        limit = sys.get_int_max_str_digits()
+        code, doc, _ = run_json(
+            capsys,
+            ["hunt", "--n", "2", "--x", str(x), "--y", str(x + 1), "--A", "1", "--B", "1"],
+        )
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        zeros = "0" * 2199
+        terms = doc["solutions"][0]["terms"]
+        assert terms["C"] == f"1{zeros}2{zeros}1"
+        assert terms["radical_P"] is None
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, ["analyze", "--n", "3"])

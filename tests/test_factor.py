@@ -15,8 +15,6 @@ from gainlab.factor import (
     factorize,
     factorize_product,
     is_prime,
-    is_squarefree,
-    radical,
     radical_of_product,
 )
 
@@ -244,19 +242,19 @@ class TestIsPrime:
 
 class TestRadical:
     def test_product_of_case_study_parameters(self):
-        assert radical(25 * 128 * 3087 * 23 * 121) == 53130
+        assert factorize(25 * 128 * 3087 * 23 * 121).radical() == 53130
 
     def test_one(self):
-        assert radical(1) == 1
+        assert factorize(1).radical() == 1
 
     def test_small(self):
-        assert radical(84) == 42
+        assert factorize(84).radical() == 42
 
     @given(st.integers(min_value=1, max_value=10 ** 15))
     def test_divides_and_idempotent(self, v):
-        r = radical(v)
+        r = factorize(v).radical()
         assert v % r == 0
-        assert radical(r) == r
+        assert factorize(r).radical() == r
 
     @given(
         st.integers(min_value=1, max_value=10 ** 7),
@@ -264,7 +262,7 @@ class TestRadical:
     )
     def test_multiplicative_on_coprime_parts(self, a, b):
         if math.gcd(a, b) == 1:
-            assert radical(a * b) == radical(a) * radical(b)
+            assert factorize(a * b).radical() == factorize(a).radical() * factorize(b).radical()
 
     def test_sweep_against_sieve_oracle_below_one_million(self):
         # Independent oracle: smallest-prime-factor sieve, no shared code.
@@ -283,19 +281,7 @@ class TestRadical:
                 expected *= p
                 while t % p == 0:
                     t //= p
-            assert radical(v, memoize=False) == expected
-
-
-class TestIsSquarefree:
-    def test_examples(self):
-        assert is_squarefree(42)
-        assert not is_squarefree(121)
-        # 45126 = 2 * 3^2 * 23 * 109.
-        assert not is_squarefree(45126)
-
-    @given(st.integers(min_value=1, max_value=10 ** 12))
-    def test_equivalent_to_radical_fixpoint(self, v):
-        assert is_squarefree(v) == (radical(v) == v)
+            assert factorize(v, memoize=False).radical() == expected
 
 
 class TestRadicalOfProduct:
@@ -306,7 +292,7 @@ class TestRadicalOfProduct:
     def test_matches_direct_radical(self):
         parts = (25, 128, 3087, 23, 121)
         v = math.prod(parts)
-        assert radical_of_product(parts) == radical(v) == 53130
+        assert radical_of_product(parts) == factorize(v).radical() == 53130
 
 
 class TestFactorizeProduct:
@@ -332,10 +318,20 @@ class TestBudget:
         assert err.partial == Factorization(((2, 2),), False)
         assert err.cofactor == HARD_P * HARD_Q
 
+    def test_message_past_the_int_to_str_digit_limit(self):
+        # v has 4,540 digits, past Python's default int-to-str limit of
+        # 4,300: the message gives its bit length, the cofactor in full.
+        v = 2 ** 15000 * HARD_P * HARD_Q
+        with pytest.raises(FactorBudgetExceeded) as exc:
+            factorize(v, budget=0)
+        assert exc.value.cofactor == HARD_P * HARD_Q
+        assert f"<{v.bit_length()}-bit integer>" in str(exc.value)
+        assert str(HARD_P * HARD_Q) in str(exc.value)
+
     def test_radical_propagates(self):
         clear_cache()
         with pytest.raises(FactorBudgetExceeded):
-            radical(HARD_P * HARD_Q, budget=10)
+            factorize(HARD_P * HARD_Q, budget=10).radical()
 
     def test_env_var_controls_default(self, monkeypatch):
         clear_cache()

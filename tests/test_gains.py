@@ -4,12 +4,13 @@ Frozen reference values were computed with an independent high-precision
 oracle (mpmath at 60 significant digits) and pasted here as strings.
 """
 
+import math
 from decimal import Context, Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gainlab.bigmath import CTX, gcd3, ipow
+from gainlab.bigmath import CTX, ipow
 from gainlab.gains import (
     COPRIMALITY_VIOLATION,
     IDENTITY_VIOLATION,
@@ -155,6 +156,16 @@ class TestValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_solution(2, -3, 4, 1, 1, 7)
+
+    def test_residual_past_the_int_to_str_digit_limit(self):
+        # The residual has 4,352 digits, past Python's default int-to-str
+        # limit of 4,300; the violation must still be reported.
+        with pytest.raises(SolutionError) as exc:
+            validate_solution(2000, 2, 150, 1, 1, 1)
+        (violation,) = exc.value.report.violations
+        assert violation.kind == IDENTITY_VIOLATION
+        assert violation.residual == 150 ** 2000 - 2 ** 2000 - 1
+        assert f"<{violation.residual.bit_length()}-bit integer>" in violation.detail
 
 
 class TestComputeGains:
@@ -380,7 +391,7 @@ class TestRandomValidSolutions:
     )
     def test_gain_invariants(self, n, x, y, A, B):
         k = B * ipow(y, n) - A * ipow(x, n)
-        if k < 1 or gcd3(A * x, B * y, k) != 1:
+        if k < 1 or math.gcd(A * x, B * y, k) != 1:
             return
         s = validate_solution(n, x, y, A, B, k)
         g = compute_gains(s)

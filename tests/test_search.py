@@ -434,6 +434,14 @@ class TestCellCeilings:
         with pytest.raises(BoxTooLarge):
             enumerate_fixed_k(box)
 
+    def test_cell_count_past_the_int_to_str_digit_limit(self):
+        # 2 * (10^4400 - 1) cells: more digits than str() allows by default.
+        box = derived_box((2, 2), (2, 10 ** 4400), (2, 3), (1, 1), (1, 1))
+        with pytest.raises(BoxTooLarge) as exc:
+            hunt_derived_k(box)
+        assert exc.value.cells == 2 * (10 ** 4400 - 1)
+        assert "-bit integer> cells" in str(exc.value)
+
 
 class TestBudgetPartials:
     def test_fixed_mode_emits_partial_report(self):
@@ -470,6 +478,18 @@ class TestBudgetPartials:
         qs = [g.q for _, g in known]
         assert all(q is not None for q in qs)
         assert all(a >= b for a, b in zip(qs, qs[1:]))
+
+    def test_hunt_partial_report_past_the_int_to_str_digit_limit(self):
+        # x has 4,540 digits, past Python's default int-to-str limit of
+        # 4,300, and its factorization blows the budget at once: the hunt
+        # still gives the tuple a partial report.
+        x = 2 ** 15000 * 1000000000039 * 1000000000061
+        box = derived_box((2, 2), (x, x), (x + 1, x + 1), (1, 1), (1, 1))
+        result = hunt_derived_k(box, budget=0)
+        assert keys(result) == [(2, 2 * x + 1, 1, 1, x, x + 1)]
+        g = result.solutions[0][1]
+        assert g.C == (x + 1) ** 2
+        assert g.q is None and g.G_a is not None
 
     def test_threshold_keeps_unknown_quality(self):
         clear_cache()
