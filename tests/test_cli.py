@@ -70,7 +70,15 @@ GOLDEN_INVOCATIONS = {
         "--A", "1:1", "--B", "1:1", "--allow-trivial-x",
     ],
     "verify-corpus": ["verify-corpus"],
+    # Two of the five solutions get partial reports: radical_P, G_p, q
+    # and thm5_holds are null (see GOLDEN_ENV).
+    "hunt-partial": [
+        "hunt", "--n", "9", "--x", "38:41", "--y", "38:41", "--A", "1:2", "--B", "1",
+    ],
 }
+# Environment of the invocations that need one.  A zero budget stops the
+# factoring of every component with a composite cofactor above 10^8.
+GOLDEN_ENV = {"hunt-partial": {BUDGET_ENV_VAR: "0"}}
 
 SOLUTION_CSV_HEADER = (
     "n,x,y,A,B,k,trivial_x,C,P,radical_P,G_a,G_p,q,"
@@ -584,6 +592,12 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("name", list(GOLDEN_INVOCATIONS))
     def test_stdout_and_exit_code(self, capsys, monkeypatch, golden, name, fmt):
         monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        env = GOLDEN_ENV.get(name, {})
+        if env:
+            # A memoized factorization would bypass the budget.
+            clear_cache()
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
         code, out, _ = run_cli(capsys, GOLDEN_INVOCATIONS[name] + ["--format", fmt])
         assert [code, out] == golden[f"{name}/{fmt}"]
 
