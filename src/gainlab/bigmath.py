@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Context, Decimal, ROUND_HALF_EVEN
+from functools import lru_cache
 
 # Working precision for every logarithm and every derived ratio.  Display
 # rounding is 6 significant digits; 64 working digits keep all comparison
@@ -181,15 +182,21 @@ def clear_ln_cache() -> None:
     _ln_cache.clear()
 
 
+@lru_cache(maxsize=1024)
+def _quantum(exponent: int) -> Decimal:
+    """1E<exponent>, the quantum of a rounding (memoized per exponent)."""
+    return Decimal((0, (1,), exponent))
+
+
 def round_sig(value: Decimal, digits: int = 6) -> Decimal:
     """Round to ``digits`` significant decimal digits, round-half-even.
 
     Used only for display; full-precision values are kept internally.
+    A carry keeps the exponent of the unrounded value: 9.9999951 gives
+    10.00000 at six digits.
     """
     if digits < 1:
         raise ValueError("need at least one significant digit")
     if value.is_zero():
         return _ZERO
-    with localcontext(CTX):
-        quantum = Decimal(1).scaleb(value.adjusted() - digits + 1)
-        return value.quantize(quantum, rounding=ROUND_HALF_EVEN)
+    return value.quantize(_quantum(value.adjusted() - digits + 1), context=CTX)

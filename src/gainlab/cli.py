@@ -2,10 +2,12 @@
 
 Subcommands: analyze one solution, evaluate bounds for parameters, search
 a box with fixed k, hunt a box with derived k, verify the built-in corpus.
-Reports go to stdout in json, csv, or human form; progress, timing, and
-errors go to stderr.  Identical invocations produce byte-identical stdout:
-solution parameters and terms serialize as exact decimal strings and every
-real as a 6-significant-digit decimal string, never a binary float.  Counts
+Reports go to stdout in json, csv, or human form, each filled into a
+template built once from REPORT_SCHEMA; a search writes each row as it
+renders it.  Progress, timing, and errors go to stderr.  Identical
+invocations produce byte-identical stdout: solution parameters and terms
+serialize as exact decimal strings and every real as a
+6-significant-digit decimal string, never a binary float.  Counts
 (cells_scanned, max_admissible_exponent_*) are JSON numbers, exact at any
 size: --qmax 9.99e63 gives a 65-digit one.
 
@@ -19,7 +21,9 @@ import argparse
 import json
 import sys
 from decimal import Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 
 from .bigmath import round_sig
 from .factor import FactorBudgetExceeded
@@ -170,61 +174,109 @@ def _display(value: Decimal | None) -> str | None:
     return format(round_sig(value, DISPLAY_DIGITS), "f")
 
 
-def _report_doc(fields: dict) -> dict:
-    """Group flat report fields into REPORT_SCHEMA's sections.
-
-    A missing field is None.  gp_max_custom is left out when no custom cap
-    was given, so _report_doc({}) has the columns of every search report.
-    """
-    doc = {
-        section: {name: fields.get(name) for name in names}
-        for section, names in REPORT_SCHEMA.items()
-    }
-    if doc["bounds"]["gp_max_custom"] is None:
-        del doc["bounds"]["gp_max_custom"]
-    return doc
-
-
-def solution_report(s: Solution, g: GainReport) -> dict:
-    """The per-solution report document, keys in fixed order."""
-    axn = s.A * s.x ** s.n
-    fields = {
-        "n": str(s.n),
-        "x": str(s.x),
-        "y": str(s.y),
-        "A": str(s.A),
-        "B": str(s.B),
-        "k": str(s.k),
-        "trivial_x": s.trivial_x,
-        "C": str(g.C),
-        "P": str(g.P),
-        "radical_P": None if g.R is None else str(g.R),
-        "identity": g.C == axn + s.k,
-        "coprime": gcd(s.A * s.x, s.B * s.y, s.k) == 1,
-        "thm1_holds": bool(g.C > axn and g.G_a > g.ga_min),
-        "thm5_holds": None if g.q is None else bool(g.q > g.q_min),
-    }
-    for name in REPORT_SCHEMA["gains"] + REPORT_SCHEMA["bounds"]:
-        fields[name] = _display(getattr(g, name))
-    return _report_doc(fields)
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if type(value) is bool:
+        return "true" if value else "false"
     return str(value)
 
 
-def _csv_header(doc: dict) -> str:
-    return ",".join(name for section in doc.values() for name in section)
+def _json_cell(value) -> str:
+    """A row value as JSON: a str is a string, an int (a count) a number."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return "null" if value is None else _csv_cell(value)
 
 
-def _csv_row(doc: dict) -> str:
-    return ",".join(_csv_cell(v) for section in doc.values() for v in section.values())
+class _Layout:
+    """Templates that render one column set as JSON, CSV and human text.
+
+    sections maps each section to its column names, in output order, and a
+    row is a tuple of their values in that order.  The JSON template is
+    json.dumps(indent=2) of the sections, indented as if nested level deep.
+    human is a %-template over the columns named in human_columns, by
+    default all of them.
+    """
+
+    def __init__(self, sections: dict, level: int, human: str, human_columns=None):
+        columns = tuple(name for names in sections.values() for name in names)
+        doc = {section: dict.fromkeys(names, "%s") for section, names in sections.items()}
+        self.json = json.dumps(doc, indent=2).replace('"%s"', "%s").replace("\n", "\n" + "  " * level)
+        self.csv_header = ",".join(columns)
+        self.human = human
+        self.pick = itemgetter(*map(columns.index, human_columns)) if human_columns else tuple
+
+    def render(self, fmt: str, row: tuple) -> str:
+        if fmt == "json":
+            return self.json % tuple(map(_json_cell, row))
+        if fmt == "csv":
+            return ",".join(map(_csv_cell, row))
+        return self.human % self.pick(tuple(map(_csv_cell, row)))
+
+    def print_document(self, fmt: str, row: tuple) -> None:
+        if fmt == "csv":
+            print(self.csv_header)
+        print(self.render(fmt, row))
+
+
+def _report_sections(custom: bool) -> dict:
+    """REPORT_SCHEMA, without gp_max_custom unless a custom cap was given."""
+    return {
+        section: tuple(name for name in names if custom or name != "gp_max_custom")
+        for section, names in REPORT_SCHEMA.items()
+    }
+
+
+def _pair_lines(sections: dict) -> str:
+    """Human template: one line of name=value pairs per section."""
+    return "\n".join(
+        f"{section:<9} " + "  ".join(f"{name}=%s" for name in names)
+        for section, names in sections.items()
+    )
+
+
+def _block_lines(sections: dict) -> str:
+    """Human template: a heading per section, then one line per column."""
+    return "\n".join(
+        f"{section}:\n" + "\n".join(f"  {name:<28} %s" for name in names)
+        for section, names in sections.items()
+    )
+
+
+# Keyed by whether a custom cap was given.  A search takes no cap, and it
+# nests its reports in a list under "solutions".
+_ANALYZE_LAYOUTS = {
+    custom: _Layout(_report_sections(custom), 0, _pair_lines(_report_sections(custom)))
+    for custom in (False, True)
+}
+_SEARCH_LAYOUT = _Layout(
+    _report_sections(False), 2,
+    "n=%s x=%s y=%s A=%s B=%s k=%s  q=%s G_a=%s G_p=%s",
+    ("n", "x", "y", "A", "B", "k", "q", "G_a", "G_p"),
+)
+# The columns shown through _display: the gains and bounds sections.
+_DISPLAYED = {
+    custom: _report_sections(custom)["gains"] + _report_sections(custom)["bounds"]
+    for custom in (False, True)
+}
+
+
+def solution_report(s: Solution, g: GainReport) -> tuple:
+    """The per-solution report row: its values in REPORT_SCHEMA column order.
+
+    gp_max_custom is left out when no custom cap was given.
+    """
+    axn = s.A * s.x ** s.n
+    return (
+        str(s.n), str(s.x), str(s.y), str(s.A), str(s.B), str(s.k), s.trivial_x,
+        str(g.C), str(g.P), None if g.R is None else str(g.R),
+        *[_display(getattr(g, name)) for name in _DISPLAYED[g.gp_max_custom is not None]],
+        g.C == axn + s.k,
+        gcd(s.A * s.x, s.B * s.y, s.k) == 1,
+        bool(g.C > axn and g.G_a > g.ga_min),
+        None if g.q is None else bool(g.q > g.q_min),
+    )
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
@@ -245,17 +297,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
         # e.g. an unparseable GAINLAB_FACTOR_BUDGET setting
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    doc = solution_report(s, g)
-    fmt = args.output_format
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    elif fmt == "csv":
-        print(_csv_header(doc))
-        print(_csv_row(doc))
-    else:
-        for section, fields in doc.items():
-            pairs = "  ".join(f"{k}={_csv_cell(v)}" for k, v in fields.items())
-            print(f"{section:<9} {pairs}")
+    layout = _ANALYZE_LAYOUTS[g.gp_max_custom is not None]
+    layout.print_document(args.output_format, solution_report(s, g))
     return EXIT_OK
 
 
@@ -285,6 +328,14 @@ def _emit_validation_failure(err: SolutionError, fmt: str) -> None:
         print(f"  {v.kind}: {v.detail}")
 
 
+def _admissible(cap: QMax) -> int | None:
+    # None when the cap is at most 1, which excludes every exponent.
+    try:
+        return max_admissible_exponent(cap)
+    except ValueError:
+        return None
+
+
 def _run_bounds(args: argparse.Namespace) -> int:
     n, A, B, y, cap = args.n, args.A, args.B, args.y, args.qmax
     try:
@@ -292,36 +343,20 @@ def _run_bounds(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    bounds = _report_doc({name: _display(v) for name, v in fields.items()})["bounds"]
-    bounds["max_admissible_exponent_strong"] = max_admissible_exponent(QMAX_STRONG)
-    bounds["max_admissible_exponent_ultra"] = max_admissible_exponent(QMAX_ULTRA)
+    caps = {"strong": QMAX_STRONG, "ultra": QMAX_ULTRA}
     if cap is not None:
-        # None when the cap is at most 1, which excludes every exponent.
-        try:
-            bounds["max_admissible_exponent_custom"] = max_admissible_exponent(cap)
-        except ValueError:
-            bounds["max_admissible_exponent_custom"] = None
-    doc = {
-        "params": {
-            "n": str(n),
-            "A": str(A),
-            "B": str(B),
-            "y": str(y),
-            "q_max_custom": None if cap is None else str(cap.value),
-        },
-        "bounds": bounds,
+        caps["custom"] = cap
+    shown = _report_sections(cap is not None)["bounds"]
+    sections = {
+        "params": ("n", "A", "B", "y", "q_max_custom"),
+        "bounds": shown + tuple(f"max_admissible_exponent_{name}" for name in caps),
     }
-    fmt = args.output_format
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    elif fmt == "csv":
-        print(_csv_header(doc))
-        print(_csv_row(doc))
-    else:
-        for section, fields in doc.items():
-            print(f"{section}:")
-            for kname, v in fields.items():
-                print(f"  {kname:<28} {_csv_cell(v)}")
+    row = (
+        str(n), str(A), str(B), str(y), None if cap is None else str(cap.value),
+        *[_display(fields[name]) for name in shown],
+        *map(_admissible, caps.values()),
+    )
+    _Layout(sections, 0, _block_lines(sections)).print_document(args.output_format, row)
     return EXIT_OK
 
 
@@ -346,36 +381,25 @@ def _run_box(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    docs = [solution_report(s, g) for s, g in result.solutions]
-    _emit_search_output(docs, result, args.output_format)
-    print(
-        f"scanned {result.cells_scanned} cells in {result.duration:.3f}s, "
-        f"{len(result.solutions)} solutions",
-        file=sys.stderr,
-    )
-    return EXIT_OK
-
-
-def _emit_search_output(docs: list[dict], result: SearchResult, fmt: str) -> None:
+    # Each row is rendered and written as it is built; no document is held.
+    fmt, write, render = args.output_format, sys.stdout.write, _SEARCH_LAYOUT.render
+    solutions, cells = result.solutions, result.cells_scanned
     if fmt == "json":
-        payload = {"solutions": docs, "cells_scanned": result.cells_scanned}
-        print(json.dumps(payload, indent=2))
-        return
-    if fmt == "csv":
-        print(_csv_header(docs[0] if docs else _report_doc({})))
-        for doc in docs:
-            print(_csv_row(doc))
-        return
-    if not docs:
-        print("no solutions")
-    for doc in docs:
-        s = doc["solution"]
-        g = doc["gains"]
-        print(
-            f"n={s['n']} x={s['x']} y={s['y']} A={s['A']} B={s['B']} k={s['k']}"
-            f"  q={_csv_cell(g['q'])} G_a={_csv_cell(g['G_a'])} G_p={_csv_cell(g['G_p'])}"
-        )
-    print(f"cells_scanned: {result.cells_scanned}")
+        write('{\n  "solutions": [')
+        for i, (s, g) in enumerate(solutions):
+            write((",\n    " if i else "\n    ") + render(fmt, solution_report(s, g)))
+        write(("\n  ]" if solutions else "]") + f',\n  "cells_scanned": {cells}\n}}\n')
+    else:
+        if fmt == "csv":
+            write(_SEARCH_LAYOUT.csv_header + "\n")
+        elif not solutions:
+            write("no solutions\n")
+        for s, g in solutions:
+            write(render(fmt, solution_report(s, g)) + "\n")
+        if fmt == "human":
+            write(f"cells_scanned: {cells}\n")
+    print(f"scanned {cells} cells in {result.duration:.3f}s, {len(solutions)} solutions", file=sys.stderr)
+    return EXIT_OK
 
 
 def _run_verify_corpus(args: argparse.Namespace) -> int:

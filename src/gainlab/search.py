@@ -87,9 +87,9 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> None:
     if not isinstance(lo, int) or not isinstance(hi, int):
         raise ValueError(f"{name} bounds must be integers")
     if lo > hi:
-        raise ValueError(f"{name} interval [{lo}, {hi}] is empty")
+        raise ValueError(f"{name} interval [{int_text(lo)}, {int_text(hi)}] is empty")
     if lo < minimum:
-        raise ValueError(f"{name} lower bound {lo} violates minimum {minimum}")
+        raise ValueError(f"{name} lower bound {int_text(lo)} violates minimum {minimum}")
 
 
 def _floored(box: SearchBox) -> SearchBox:

@@ -5,11 +5,11 @@ oracle (mpmath at 60 significant digits) and pasted here as strings.
 """
 
 import math
-from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Context, Decimal, ROUND_DOWN, ROUND_HALF_EVEN, localcontext
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gainlab import bigmath
 from gainlab.bigmath import (
@@ -237,3 +237,43 @@ class TestRoundSig:
     def test_rejects_no_digits(self):
         with pytest.raises(ValueError):
             round_sig(Decimal(1), 0)
+
+    def test_carry_keeps_the_unrounded_exponent(self):
+        assert str(round_sig(Decimal("9.9999951"), 6)) == "10.00000"
+        assert str(round_sig(Decimal("0.000999999501"), 6)) == "0.001000000"
+        assert str(round_sig(Decimal("-9.9999951"), 6)) == "-10.00000"
+        assert str(round_sig(Decimal("1.5"), 6)) == "1.50000"
+
+    def test_ignores_the_callers_context(self):
+        with localcontext(Context(prec=3, rounding=ROUND_DOWN)):
+            assert str(round_sig(Decimal("1.2345651"), 6)) == "1.23457"
+            assert str(round_sig(Decimal("1.234565"), 6)) == "1.23456"
+
+    @given(
+        sign=st.integers(0, 1),
+        coefficient=st.integers(0, 10 ** 70),
+        tie_zeros=st.none() | st.integers(0, 30),
+        exponent=st.integers(-30, 30) | st.integers(-10 ** 5, 10 ** 5),
+        digits=st.integers(1, 20),
+    )
+    @example(sign=0, coefficient=15, tie_zeros=None, exponent=-1, digits=6)
+    @example(sign=0, coefficient=99999951, tie_zeros=None, exponent=-7, digits=6)
+    @example(sign=0, coefficient=999999501, tie_zeros=None, exponent=-12, digits=6)
+    @example(sign=1, coefficient=99999951, tie_zeros=None, exponent=-7, digits=6)
+    @example(sign=1, coefficient=0, tie_zeros=None, exponent=-7, digits=6)
+    @example(sign=0, coefficient=123456, tie_zeros=0, exponent=-6, digits=6)
+    def test_matches_the_context_scaleb_formula(self, sign, coefficient, tie_zeros, exponent, digits):
+        # The oracle is the formula round_sig used before its quantum was
+        # memoized: a scaleb and a quantize inside the working context.
+        text = str(coefficient)
+        if tie_zeros is not None:
+            # A tie: the digit after the last kept one is a 5 and the rest are 0.
+            text = text[:digits] + "5" + "0" * tie_zeros
+        value = Decimal((sign, tuple(map(int, text)), exponent))
+        if value.is_zero():
+            expected = Decimal(0)
+        else:
+            with localcontext(CTX):
+                quantum = Decimal(1).scaleb(value.adjusted() - digits + 1)
+                expected = value.quantize(quantum, rounding=ROUND_HALF_EVEN)
+        assert round_sig(value, digits).as_tuple() == expected.as_tuple()

@@ -12,10 +12,13 @@ from gainlab.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    REPORT_SCHEMA,
     main,
     parse_args,
+    solution_report,
 )
 from gainlab.factor import BUDGET_ENV_VAR, clear_cache
+from gainlab.gains import compute_gains, custom_qmax, validate_solution
 
 DEWEGER_ARGS = [
     "analyze", "--n", "3", "--x", "25", "--y", "128",
@@ -191,6 +194,26 @@ class TestAnalyzeJson:
         _, out1, _ = run_cli(capsys, DEWEGER_ARGS + ["--format", "json"])
         _, out2, _ = run_cli(capsys, DEWEGER_ARGS + ["--format", "json"])
         assert out1 == out2
+
+
+class TestReportRow:
+    @pytest.mark.parametrize("cap", [None, "1.5"])
+    def test_values_in_schema_column_order(self, cap):
+        s = validate_solution(3, 25, 128, 3087, 23, 121)
+        g = compute_gains(s, q_max_custom=None if cap is None else custom_qmax(cap))
+        columns = [
+            name for names in REPORT_SCHEMA.values() for name in names
+            if cap is not None or name != "gp_max_custom"
+        ]
+        row = solution_report(s, g)
+        assert len(row) == len(columns)
+        fields = dict(zip(columns, row))
+        assert fields["k"] == "121" and fields["trivial_x"] is False
+        assert fields["radical_P"] == "53130"
+        assert fields["G_p"] == "2.20920"
+        assert fields["k1_q_bound"] == "1.50000"
+        assert fields["thm5_holds"] is True
+        assert fields.get("gp_max_custom") == (None if cap is None else "3.13140")
 
 
 class TestAnalyzeOtherFormats:

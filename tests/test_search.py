@@ -442,6 +442,16 @@ class TestCellCeilings:
         assert exc.value.cells == 2 * (10 ** 4400 - 1)
         assert "-bit integer> cells" in str(exc.value)
 
+    def test_empty_interval_past_the_int_to_str_digit_limit(self):
+        box = derived_box((2, 2), (10 ** 4400, 2), (2, 3), (1, 1), (1, 1))
+        with pytest.raises(ValueError, match=r"^x_range interval \[<14617-bit integer>, 2\] is empty$"):
+            hunt_derived_k(box)
+
+    def test_low_bound_past_the_int_to_str_digit_limit(self):
+        box = derived_box((2, 2), (-10 ** 4400, 2), (2, 3), (1, 1), (1, 1))
+        with pytest.raises(ValueError, match=r"^x_range lower bound -<14617-bit integer> violates minimum 1$"):
+            hunt_derived_k(box)
+
 
 class TestBudgetPartials:
     def test_fixed_mode_emits_partial_report(self):
