@@ -192,17 +192,16 @@ def _json_cell(value) -> str:
 class _Layout:
     """Templates that render one column set as JSON, CSV and human text.
 
-    sections maps each section to its column names, in output order, and a
-    row is a tuple of their values in that order.  The JSON template is
-    json.dumps(indent=2) of the sections, indented as if nested level deep.
-    human is a %-template over the columns named in human_columns, by
-    default all of them.
+    sections maps each section to its column names, in output order; a row
+    holds their values in that order.  The JSON is json.dumps(indent=2)'s,
+    nested level deep.  human is a %-template over human_columns (or all).
     """
 
     def __init__(self, sections: dict, level: int, human: str, human_columns=None):
         columns = tuple(name for names in sections.values() for name in names)
         doc = {section: dict.fromkeys(names, "%s") for section, names in sections.items()}
-        self.json = json.dumps(doc, indent=2).replace('"%s"', "%s").replace("\n", "\n" + "  " * level)
+        template = json.dumps(doc, indent=2).replace('"%s"', "%s")
+        self.json = template.replace("\n", "\n" + "  " * level)
         self.csv_header = ",".join(columns)
         self.human = human
         self.pick = itemgetter(*map(columns.index, human_columns)) if human_columns else tuple
@@ -218,14 +217,6 @@ class _Layout:
         if fmt == "csv":
             print(self.csv_header)
         print(self.render(fmt, row))
-
-
-def _report_sections(custom: bool) -> dict:
-    """REPORT_SCHEMA, without gp_max_custom unless a custom cap was given."""
-    return {
-        section: tuple(name for name in names if custom or name != "gp_max_custom")
-        for section, names in REPORT_SCHEMA.items()
-    }
 
 
 def _pair_lines(sections: dict) -> str:
@@ -244,22 +235,23 @@ def _block_lines(sections: dict) -> str:
     )
 
 
-# Keyed by whether a custom cap was given.  A search takes no cap, and it
-# nests its reports in a list under "solutions".
-_ANALYZE_LAYOUTS = {
-    custom: _Layout(_report_sections(custom), 0, _pair_lines(_report_sections(custom)))
+# REPORT_SCHEMA and what depends on its columns, keyed by whether a custom
+# cap was given: without one, gp_max_custom is left out.  A search takes no
+# cap, and it nests its reports in a list under "solutions".
+_SECTIONS = {
+    custom: {
+        section: tuple(name for name in names if custom or name != "gp_max_custom")
+        for section, names in REPORT_SCHEMA.items()
+    }
     for custom in (False, True)
 }
+_DISPLAYED = {custom: s["gains"] + s["bounds"] for custom, s in _SECTIONS.items()}
+_ANALYZE_LAYOUTS = {custom: _Layout(s, 0, _pair_lines(s)) for custom, s in _SECTIONS.items()}
 _SEARCH_LAYOUT = _Layout(
-    _report_sections(False), 2,
+    _SECTIONS[False], 2,
     "n=%s x=%s y=%s A=%s B=%s k=%s  q=%s G_a=%s G_p=%s",
     ("n", "x", "y", "A", "B", "k", "q", "G_a", "G_p"),
 )
-# The columns shown through _display: the gains and bounds sections.
-_DISPLAYED = {
-    custom: _report_sections(custom)["gains"] + _report_sections(custom)["bounds"]
-    for custom in (False, True)
-}
 
 
 def solution_report(s: Solution, g: GainReport) -> tuple:
@@ -346,7 +338,7 @@ def _run_bounds(args: argparse.Namespace) -> int:
     caps = {"strong": QMAX_STRONG, "ultra": QMAX_ULTRA}
     if cap is not None:
         caps["custom"] = cap
-    shown = _report_sections(cap is not None)["bounds"]
+    shown = _SECTIONS[cap is not None]["bounds"]
     sections = {
         "params": ("n", "A", "B", "y", "q_max_custom"),
         "bounds": shown + tuple(f"max_admissible_exponent_{name}" for name in caps),
@@ -398,7 +390,11 @@ def _run_box(args: argparse.Namespace) -> int:
             write(render(fmt, solution_report(s, g)) + "\n")
         if fmt == "human":
             write(f"cells_scanned: {cells}\n")
-    print(f"scanned {cells} cells in {result.duration:.3f}s, {len(solutions)} solutions", file=sys.stderr)
+    print(
+        f"scanned {result.cells_scanned} cells in {result.duration:.3f}s, "
+        f"{len(result.solutions)} solutions",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 
