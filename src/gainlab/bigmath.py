@@ -21,17 +21,31 @@ CTX = Context(prec=LN_PRECISION, rounding=ROUND_HALF_EVEN)
 
 _ZERO = Decimal(0)
 
-# Guard digits carried by every cached logarithm (see ln_product).
-LN_GUARD = 8
+# Cached logs are integers at scale 10**LN_SCALE: 16 digits below the last
+# of the 64 that any log of an integer >= 2 keeps (ln 2 > 0.1).
+LN_SCALE = 80
 
-_WIDE = Context(prec=LN_PRECISION + LN_GUARD, rounding=ROUND_HALF_EVEN)
+# Error bound, in units of 10**-LN_SCALE, of each value computed afresh
+# rather than summed from cached logs: one 2*atanh(1/m) series, or one
+# Decimal.ln of a key above _RECURRENCE_LIMIT.
+_LEAF_ERR = 1
 
-# Logs at the wide precision, keyed by the integers they are logs of: the
-# primes of factored values and the small parameters (y, B, A*B) of the
-# bound formulas.  Logs of products are sums of these and are never stored,
-# so the cache grows with the distinct primes seen, not with the solutions.
-# The fill is idempotent (pure function of the key).
-_ln_cache: dict[int, Decimal] = {}
+# Extra digits the atanh series and the Decimal.ln conversions carry before
+# they are rounded to LN_SCALE digits (see ln_product).
+_LEAF_GUARD = 3
+
+# Keys up to this limit are split by factor.factorize(memoize=False), which
+# needs trial division alone there (a cofactor below 10**8 is prime): no
+# rho step, no budget and no factor cache entry.
+_RECURRENCE_LIMIT = 10 ** 8
+
+# Logs as (value, err) with |value - ln(key) * 10**LN_SCALE| <= err, keyed
+# by the integers they are logs of: the primes of factored values, the
+# primes their p - 1 recurrence reaches, and the small parameters (y, B,
+# A*B) of the bound formulas.  Logs of products are sums of these and are
+# never stored, so the cache grows with the distinct primes seen, not with
+# the solutions.  The fill is idempotent (pure function of the key).
+_ln_cache: dict[int, tuple[int, int]] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,8 +124,11 @@ def nth_root_floor(v: int, n: int) -> int:
     return r
 
 
-def ln_cached(v: int) -> Decimal:
-    """ln(v) correctly rounded to LN_PRECISION + LN_GUARD digits, memoized."""
+def ln_cached(v: int) -> tuple[int, int]:
+    """(value, err) with |value - ln(v) * 10**LN_SCALE| <= err, memoized.
+
+    See ln_product for how the pair is built and why the bound holds.
+    """
     cached = _ln_cache.get(v)
     if cached is not None:
         return cached
@@ -119,11 +136,52 @@ def ln_cached(v: int) -> Decimal:
         raise TypeError("ln expects an integer")
     if v < 1:
         raise ValueError("ln is defined here for integers >= 1 only")
-    # Decimal converts any int exactly, and ln() is correctly rounded at
-    # context precision regardless of the integer's size.
-    result = _ZERO if v == 1 else Decimal(v).ln(_WIDE)
+    return _ln_fill(v)
+
+
+def _ln_fill(v: int) -> tuple[int, int]:
+    """Compute, cache and return ln_cached(v) for an integer v >= 1."""
+    if v <= _RECURRENCE_LIMIT:
+        # factor imports this module, so it is imported on first use.
+        from .factor import factorize
+
+        factors = factorize(v, memoize=False).factors
+        if factors == ((v, 1),):
+            value, err = _ln_sum(factorize(v - 1, memoize=False).factors)
+            result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
+        else:
+            result = _ln_sum(factors)
+    else:
+        # Decimal converts any int exactly and ln() is correctly rounded;
+        # ln(v) < v.bit_length(), so the result has _LEAF_GUARD digits
+        # below 10**-LN_SCALE.
+        digits = LN_SCALE + _LEAF_GUARD + len(str(v.bit_length()))
+        ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+        result = (round(Decimal(v).ln(ctx).scaleb(LN_SCALE, ctx)), _LEAF_ERR)
     _ln_cache[v] = result
     return result
+
+
+def _ln_sum(factors) -> tuple[int, int]:
+    """Sum of e*ln_cached(q) over ((q, e), ...), values and bounds alike."""
+    value = err = 0
+    for q, e in factors:
+        v, d = _ln_cache.get(q) or _ln_fill(q)
+        value += e * v
+        err += e * d
+    return value, err
+
+
+def _two_atanh_inv(m: int) -> int:
+    """2*atanh(1/m) * 10**LN_SCALE within _LEAF_ERR, for odd m >= 3."""
+    guard = 10 ** _LEAF_GUARD
+    m2 = m * m
+    t, total, k = 10 ** LN_SCALE * guard // m, 0, 1
+    while t:
+        total += t // k
+        t //= m2
+        k += 2
+    return (2 * total + guard // 2) // guard
 
 
 def ln_exact(v: int) -> Decimal:
@@ -139,36 +197,61 @@ def ln_product(terms) -> Decimal:
     """ln(prod b**e) correctly rounded to LN_PRECISION digits.
 
     terms is a sequence of (b, e) with integers b >= 1 and e >= 0, typically
-    a prime factorization.  The sum of e*ln(b) over the cached wide logs is
+    a prime factorization.  The sum of e*ln(b) over the cached logs is
     returned only when a rounding test proves it equal to the correctly
     rounded log; otherwise the log is taken directly (ln_exact).
 
-    Error bound, with W = LN_PRECISION + LN_GUARD and u = 10**(1-W)/2, the
-    relative error of one rounding to W digits: each term e*ln(b) reaches
-    the running sum after at most two roundings (the cached log and the
-    product), and the sum of N terms takes at most N-1 more.  Every term is
-    nonnegative, so no cancellation amplifies these: the computed sum s and
-    the true log L satisfy |s - L| <= ((1+u)**(N+1) - 1)*L, which is below
-    (N+1) * 10**(1-W) * s for any N that fits in memory.  The bound err used
-    below is at least that, because s < 10**(s.adjusted()+1).  Rounding is
-    monotone, so if s - err and s + err round to the same LN_PRECISION-digit
-    value, so does every point between them, L included.  The endpoints are
-    rounded straight from their exact sums, so the test itself adds no
-    error.  It fails only when a rounding boundary of LN_PRECISION digits
-    lies within err of s, with odds of about 2*(N+1)*10**(65-W): one log in
-    a few hundred thousand at 8 guard digits and a dozen terms.
+    Error bounds, in units of 10**-LN_SCALE (S = 10**LN_SCALE).  Each
+    cached pair (v, d) has |v - S*ln b| <= d:
+    - A leaf log is within _LEAF_ERR = 1.  The series of 2*atanh(1/m),
+      m = 2p - 1, runs at scale S' = 10**_LEAF_GUARD * S: t_j =
+      floor(S'/m**(2j+1)) comes exactly from t_0 = S' // m by repeated
+      floor division by m*m, and t_j // (2j+1) is the floor of the j-th
+      term, so the J terms taken lose less than J in all; the loop stops
+      at t_J = 0, so the tail is below (1/3)*(9/8) = 3/8.  Doubled, the sum
+      is low by less than 2J + 3/4 <= 175 units of 10**-(LN_SCALE + 3)
+      (3**(2J-1) <= S' gives J <= 87), and rounding to scale S adds at most
+      half a unit: under 0.68 in all.  A key above _RECURRENCE_LIMIT takes
+      Decimal.ln at a precision that leaves _LEAF_GUARD digits below S
+      (error 5e-4), rounded to an integer (error 1/2).
+    - A composite key is the sum of e*(v, d) over its factorization, so its
+      bound is the sum of e*d.
+    - An odd prime p <= _RECURRENCE_LIMIT is ln(p - 1) + 2*atanh(1/(2p-1)),
+      exact as p/(p-1) = (1 + 1/m)/(1 - 1/m); its bound is the sum of e*d
+      over the factorization of p - 1 plus _LEAF_ERR.  ln 2 is the case
+      p = 2, with ln 1 = 0.  The error so grows by one unit per atanh in
+      the tree of p - 1 factorizations below p, weighted by the exponents;
+      by induction every bound d is at most its key (e*q summed over a
+      factorization is at most the product of the q**e).  Each p - 1 is
+      below 10**8, which factorize splits by trial division alone.
+
+    Here the integer sums V = sum e*v and E = sum e*d give
+    |V - S*L| <= E for L = ln(prod b**e).  A term with b >= 2 and e >= 1
+    adds e*(v - d) >= S*ln 2 - 2*10**8 > 10**79 to lo = V - E (d is at most
+    10**8 below the limit and 1 above it), so lo has at least 80 digits.
+    With unit = 10**(digits of lo - LN_PRECISION), lo and hi = V + E are
+    rounded half up to multiples of unit; if they agree at q, then S*L lies
+    in [(q - 1/2)*unit, (q + 1/2)*unit) and has as many digits as lo, so q
+    holds its LN_PRECISION-digit rounding (L is irrational, so never a
+    tie, and a carry to 10**LN_PRECISION is renormalized by CTX).  The test
+    fails only when a rounding boundary lies within E of V, about 2E/unit
+    of the time: unit is at least 10**16, and E is a few hundred units for
+    a search's logs.
     """
-    add, mul = _WIDE.add, _WIDE.multiply
-    total = _ZERO
+    value = err = 0
     for b, e in terms:
-        log = ln_cached(b)
-        total = add(total, log if e == 1 else mul(log, e))
-    if total.is_zero():
+        v, d = ln_cached(b)
+        value += e * v
+        err += e * d
+    if not value:
         return _ZERO
-    err = Decimal(len(terms) + 1).scaleb(total.adjusted() + 2 - _WIDE.prec)
-    lo = CTX.subtract(total, err)
-    if lo == CTX.add(total, err):
-        return lo
+    lo = value - err
+    digits = len(str(lo))
+    unit = 10 ** (digits - LN_PRECISION)
+    half = unit >> 1
+    rounded = (lo + half) // unit
+    if rounded == (value + err + half) // unit:
+        return Decimal(rounded).scaleb(digits - LN_PRECISION - LN_SCALE, CTX)
     return ln_exact(math.prod(b ** e for b, e in terms))
 
 

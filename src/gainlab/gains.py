@@ -244,17 +244,19 @@ def _bound_denominator(n: int, A: int, B: int, y: int) -> Decimal:
         return Decimal(n + 2) + (Decimal(n - 1) * ln_big(A * B).value) / ln_byn
 
 
+def _gp_cap(n: int, d: Decimal, q_max: QMax) -> Decimal:
+    """q_max*D/n, the cap on G_p under q < q_max."""
+    return CTX.divide(CTX.multiply(q_max.value, d), Decimal(n))
+
+
 def ga_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
     """Structural lower bound n/D on G_a; n/(n+2) exactly for A = B = 1."""
-    with localcontext(CTX):
-        return Decimal(n) / _bound_denominator(n, A, B, y)
+    return _fixed_cap_bounds(n, A, B, y)[1]
 
 
 def gp_upper_bound(n: int, A: int, B: int, y: int, q_max) -> Decimal:
     """Upper bound q_max*D/n = q_max / ga_lower_bound on G_p under q < q_max."""
-    d = _bound_denominator(n, A, B, y)
-    with localcontext(CTX):
-        return (_as_qmax(q_max).value * d) / Decimal(n)
+    return _gp_cap(n, _fixed_cap_bounds(n, A, B, y)[0], _as_qmax(q_max))
 
 
 def q_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
@@ -295,19 +297,20 @@ BOUND_FIELDS = (
 
 @lru_cache(maxsize=None)
 def _fixed_cap_bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
-    """(ga_min, gp_max_strong, gp_max_ultra, k1_q_bound) for these parameters."""
-    strong, ultra = (gp_upper_bound(n, A, B, y, cap) for cap in (QMAX_STRONG, QMAX_ULTRA))
-    return ga_lower_bound(n, A, B, y), strong, ultra, k1_quality_bound(n)
+    """(D, ga_min, gp_max_strong, gp_max_ultra, k1_q_bound), D taken once."""
+    d = _bound_denominator(n, A, B, y)
+    strong, ultra = (_gp_cap(n, d, cap) for cap in (QMAX_STRONG, QMAX_ULTRA))
+    return d, CTX.divide(Decimal(n), d), strong, ultra, k1_quality_bound(n)
 
 
 def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> dict:
     """Every bound field for these parameters, keyed by BOUND_FIELDS.
 
     q_min is ga_min (see q_lower_bound); gp_max_custom is None when no cap
-    is given.  The fixed-cap fields are memoized per (n, A, B, y).
+    is given.  D and the fixed-cap fields are memoized per (n, A, B, y).
     """
-    ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
-    custom = None if q_max is None else gp_upper_bound(n, A, B, y, q_max)
+    d, ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
+    custom = None if q_max is None else _gp_cap(n, d, q_max)
     return dict(zip(BOUND_FIELDS, (ga_min, ga_min, strong, ultra, custom, k1)))
 
 
@@ -353,8 +356,10 @@ def compute_gains(
 
     G_a, G_p and q are computed independently from the three logarithms, so
     the q = G_a*G_p identity stays a genuine cross-check downstream.
-    ln P and ln R are sums of cached prime logs and ln C = ln B + n*ln y
-    (see bigmath.ln_product), so they cost a few additions per solution.
+    ln P and ln R are sums of cached prime logs, held as integers at scale
+    10**80 with proven error bounds, and ln C = ln B + n*ln y (see
+    bigmath.ln_product), so each costs a few integer additions and one
+    integer rounding test per solution.
     x, y, A, B and k are factored one at a time, each with its own full
     budget, so one report can spend up to five budgets.  Raises
     FactorBudgetExceeded if the radical cannot be completed.

@@ -11,12 +11,12 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from gainlab import bigmath
+from gainlab import bigmath, factor
 from gainlab.bigmath import (
     BigLog,
     CTX,
-    LN_GUARD,
     LN_PRECISION,
+    LN_SCALE,
     clear_ln_cache,
     ipow,
     ln_big,
@@ -25,6 +25,7 @@ from gainlab.bigmath import (
     nth_root_floor,
     round_sig,
 )
+from gainlab.factor import BUDGET_ENV_VAR
 
 # Independent oracle values (50 significant digits).
 LN_84 = Decimal("4.4308167988433136153350622232820585704355755561251")
@@ -179,10 +180,23 @@ def counted_fallbacks(monkeypatch):
     return calls
 
 
+# A reference 100 digits wide: 20 digits below the cached logs' scale.
+REF = Context(prec=100)
+
+
+def within_stated_bound(v: int) -> bool:
+    """ln_cached(v) lies within its stated error bound of a wide Decimal.ln."""
+    value, err = ln_cached(v)
+    reference = Decimal(v).ln(REF).scaleb(LN_SCALE, REF)
+    return abs(REF.subtract(Decimal(value), reference)) <= err
+
+
 class TestLnProduct:
-    def test_cached_logs_carry_the_guard_digits(self):
-        log = ln_cached(2)
-        assert len(log.as_tuple().digits) == LN_PRECISION + LN_GUARD
+    def test_cached_ln2_lies_within_its_bound(self):
+        clear_ln_cache()
+        value, err = ln_cached(2)
+        assert isinstance(value, int) and err == 1
+        assert within_stated_bound(2)
         assert str(ln_big(2).value) == str(Decimal(2).ln(CTX))
 
     def test_one_and_empty_product(self):
@@ -200,13 +214,12 @@ class TestLnProduct:
         assert str(ln_product(primes)) == str(exact_ln(primes))
 
     def test_falls_back_when_the_rounding_test_fails(self, monkeypatch, counted_fallbacks):
-        # One guard digit leaves an error bound wider than a unit in the last
-        # place, so the rounding test cannot pass and every log is direct.
-        # The cache is emptied on both sides: it must not keep narrow logs.
+        # A leaf error of 10**20 units leaves every bound wider than a unit
+        # in the 64th digit, so the rounding test cannot pass and every log
+        # is direct.  The cache is emptied on both sides: it must not keep
+        # the wide bounds.
         clear_ln_cache()
-        monkeypatch.setattr(
-            bigmath, "_WIDE", Context(prec=LN_PRECISION + 1, rounding=ROUND_HALF_EVEN)
-        )
+        monkeypatch.setattr(bigmath, "_LEAF_ERR", 10 ** (LN_SCALE - LN_PRECISION + 4))
         try:
             for terms in (((2, 3), (3, 1)), ((10 ** 9 + 7, 40), (HARD_PRIME, 2))):
                 assert str(ln_product(terms)) == str(exact_ln(terms))
@@ -214,10 +227,87 @@ class TestLnProduct:
             clear_ln_cache()
         assert counted_fallbacks == [24, (10 ** 9 + 7) ** 40 * HARD_PRIME ** 2]
 
+    def test_sums_hold_for_any_cached_log_within_its_bound(self):
+        # The rounding test may rest on the stated bounds alone: with the
+        # logs of 2 and 3 moved 10**17 units up and their bounds widened to
+        # match, every sum must still be correctly rounded.
+        clear_ln_cache()
+        shift = 10 ** 17
+        for p in (2, 3):
+            value, err = ln_cached(p)
+            bigmath._ln_cache[p] = (value + shift, err + shift)
+        try:
+            for e in range(1, 400):
+                terms = ((2, e), (3, e))
+                assert str(ln_product(terms)) == str(exact_ln(terms)), e
+        finally:
+            clear_ln_cache()
+
     def test_proven_sums_need_no_fallback(self, counted_fallbacks):
         for terms in (((2, 3), (3, 1)), ((10 ** 9 + 7, 40), (HARD_PRIME, 2))):
             assert str(ln_product(terms)) == str(exact_ln(terms))
         assert counted_fallbacks == []
+
+
+# Primes the p - 1 recurrence covers, with the largest one below its limit.
+recurrence_primes = st.integers(min_value=3, max_value=10 ** 8).map(sympy.prevprime)
+# The first primes above the limit, which take Decimal.ln.
+ABOVE_THE_LIMIT = [sympy.nextprime(10 ** 8, i) for i in range(1, 11)]
+
+
+class TestCachedLogs:
+    """Differential tests of the fixed-point logs against Decimal.ln."""
+
+    def test_every_prime_below_10_5(self):
+        clear_ln_cache()
+        for p in sympy.primerange(2, 10 ** 5):
+            assert within_stated_bound(p), p
+            assert str(ln_product(((p, 1),))) == str(Decimal(p).ln(CTX)), p
+
+    @given(recurrence_primes)
+    @example(2)
+    @example(3)
+    @example(99999989)
+    def test_primes_up_to_10_8(self, p):
+        assert within_stated_bound(p)
+        assert str(ln_product(((p, 1),))) == str(Decimal(p).ln(CTX))
+
+    @pytest.mark.parametrize("p", ABOVE_THE_LIMIT + [2 ** 61 - 1, HARD_PRIME])
+    def test_primes_above_the_recurrence_limit(self, p):
+        assert within_stated_bound(p)
+        assert str(ln_product(((p, 1),))) == str(Decimal(p).ln(CTX))
+
+    @pytest.mark.parametrize("v", [1, 4, 2 ** 26, 3 ** 16, 10 ** 8, 2 * 49999991, 10 ** 8 + 2])
+    def test_composite_keys(self, v):
+        assert within_stated_bound(v)
+        assert str(ln_big(v).value) == str(Decimal(v).ln(CTX))
+
+    @given(
+        st.dictionaries(
+            recurrence_primes | st.sampled_from(ABOVE_THE_LIMIT),
+            st.integers(min_value=1, max_value=1000),
+            min_size=1,
+            max_size=8,
+        ).map(lambda d: tuple(sorted(d.items())))
+    )
+    @example(((2, 1000),))
+    @example(((2, 999), (3, 1000), (5, 997), (99999989, 1000), (ABOVE_THE_LIMIT[0], 1000)))
+    def test_products_with_repeated_factors(self, terms):
+        assert str(ln_product(terms)) == str(exact_ln(terms))
+        primes = tuple((p, 1) for p, _ in terms)
+        assert str(ln_product(primes)) == str(exact_ln(primes))
+
+    def test_recurrence_spends_no_factor_budget(self, monkeypatch):
+        # Every p - 1 below 10**8 is split by trial division alone: nothing
+        # is memoized and a zero budget is never reached.
+        monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+        clear_ln_cache()
+        before = dict(factor._cache)
+        safe = [p for p in sympy.primerange(10 ** 8 - 20000, 10 ** 8) if sympy.isprime(p // 2)]
+        assert safe
+        for v in safe + list(sympy.primerange(10 ** 8 - 300, 10 ** 8)) + [2 ** 26, 10 ** 8]:
+            ln_cached(v)
+        assert factor._cache == before
 
 
 class TestRoundSig:

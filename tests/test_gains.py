@@ -10,6 +10,7 @@ from decimal import Context, Decimal, localcontext
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gainlab import gains
 from gainlab.bigmath import CTX, ipow
 from gainlab.gains import (
     COPRIMALITY_VIOLATION,
@@ -311,6 +312,29 @@ class TestBoundFormulas:
             q_lower_bound(2, 0, 1, 2)
         with pytest.raises(ValueError):
             gp_upper_bound(2, 1, 0, 2, QMAX_STRONG)
+
+    def test_d_is_taken_once_per_key(self, monkeypatch):
+        # bound_fields with a custom cap and the public bounds all read one
+        # evaluation of D for (n, A, B, y), and keep the values n/D and
+        # q_max*D/n.
+        taken = []
+        denominator = gains._bound_denominator
+        monkeypatch.setattr(
+            gains, "_bound_denominator", lambda *key: taken.append(key) or denominator(*key)
+        )
+        gains._fixed_cap_bounds.cache_clear()
+        key, cap = (4, 7, 5, 1234), custom_qmax("1.25")
+        fields = gains.bound_fields(*key, cap)
+        d = denominator(*key)
+        with localcontext(CTX):
+            assert fields["ga_min"] == fields["q_min"] == Decimal(4) / d
+            assert fields["gp_max_strong"] == 2 * d / 4
+            assert fields["gp_max_ultra"] == Decimal("1.5") * d / 4
+            assert fields["gp_max_custom"] == Decimal("1.25") * d / 4
+        assert ga_lower_bound(*key) == q_lower_bound(*key) == fields["ga_min"]
+        assert gp_upper_bound(*key, QMAX_ULTRA) == fields["gp_max_ultra"]
+        assert gp_upper_bound(*key, cap) == fields["gp_max_custom"]
+        assert taken == [key]
 
 
 class TestUnitCaseBound:
