@@ -1,14 +1,16 @@
 """Exhaustive solution search over bounded parameter boxes.
 
-Two modes: fixed_k scans the (n, A, B, x, k) cells with one exact root
-per (n, A, B, x), for the least y whose k = B*y^n - A*x^n reaches the
-k window, and steps y up while k stays inside it; derived_k iterates
-(n, A, B, x, y) and sets k = B*y^n - A*x^n.  A derived_k hunt with a
-quality threshold screens each factored tuple in floats first and builds
-64-digit reports only for those not proven below it.  A deliberately dumb
-brute-force oracle backs both in tests.  Boxes split into disjoint
-sub-boxes whose merged results are identical to a single-box run, so
-parallel schedules cannot change output.
+Two modes: fixed_k scans the (n, A, B, x, k) cells for the least y whose
+k = B*y^n - A*x^n reaches the k window, which never decreases as x grows,
+so it takes one exact root per (n, A, B) row, walks that y up by a few
+exact steps per x (a root again after a long gap), and steps y up while k
+stays inside the window; derived_k iterates (n, A, B, x, y) and sets
+k = B*y^n - A*x^n.  A derived_k hunt with a quality threshold screens
+each factored tuple in floats first and builds 64-digit reports only for
+those not proven below it.  A deliberately dumb brute-force oracle backs
+both in tests.  Boxes split into disjoint sub-boxes whose merged results
+are identical to a single-box run, so parallel schedules cannot change
+output.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ DERIVED_K = "derived_k"
 DEFAULT_CELL_CEILING = 10 ** 10
 ORACLE_CELL_CEILING = 10 ** 7
 PROGRESS_INTERVAL = 10 ** 6
+# Steps the fixed-k scan walks its least y up from one x to the next before
+# it takes an exact root instead.
+_WALK_STEPS = 4
 
 _AXES = ("n", "x", "y", "A", "B", "k")
 
@@ -236,21 +241,33 @@ def _fixed_k_cells(b: SearchBox, progress: _Progress):
         xpow = {x: x ** n for x in range(x_lo, x_hi + 1)}
         for A in range(a_lo, a_hi + 1):
             for B in range(b_lo, b_hi + 1):
+                # y0 is the least y >= y_lo with B*y0^n >= A*x^n + k_lo, carried
+                # from x to x; 0 until the row's first x takes the root.
+                y0 = byn = 0
                 for x in range(x_lo, x_hi + 1):
                     ax = A * x
                     axn = A * xpow[x]
                     least = axn + k_lo
-                    # No y exists unless B divides A*x^n + k for some k in the window.
-                    if -least % B < k_width:
-                        # The least y with B*y^n >= A*x^n + k_lo; y steps up while k <= k_hi.
-                        y = max(nth_root_floor((least - 1) // B, n) + 1, y_lo)
-                        while y <= y_hi:
-                            k = B * y ** n - axn
-                            if k > k_hi:
-                                break
+                    # No y exists unless B divides A*x^n + k for some k in the
+                    # window, and none past y_hi once y0 has passed it.
+                    if y0 <= y_hi and -least % B < k_width:
+                        # Walk y0 up from the last x's, or take the root.
+                        steps = _WALK_STEPS if y0 else 0
+                        while byn < least and steps:
+                            y0 += 1
+                            byn = B * y0 ** n
+                            steps -= 1
+                        if byn < least:
+                            y0 = max(nth_root_floor((least - 1) // B, n) + 1, y_lo)
+                            byn = B * y0 ** n
+                        # y steps up from y0 while k <= k_hi.
+                        y = y0
+                        k = byn - axn
+                        while y <= y_hi and k <= k_hi:
                             if gcd(ax, B * y, k) == 1:
                                 yield n, x, y, A, B, k
                             y += 1
+                            k = B * y ** n - axn
                     progress.advance(k_width)
 
 
@@ -263,13 +280,19 @@ def enumerate_fixed_k(
     """All solutions with every parameter inside the box, k in k_range.
 
     For each (n, A, B, x) the admissible y form one window: the least is
-    y0 = max(nth_root_floor((A*x^n + k_lo - 1) // B, n) + 1, y_lo), the
-    least y with B*y^n >= A*x^n + k_lo, and y steps up from y0 while
-    y <= y_hi and k = B*y^n - A*x^n <= k_hi.  The root is skipped when
-    B divides A*x^n + k for no k of the window.  So the scan costs one
-    root per (n, A, B, x) plus one step per candidate, not one per k, and
-    no float ever decides membership.  cells_scanned still counts every
-    (n, A, B, x, k) cell of the box.
+    y0, the least y >= y_lo with B*y0^n >= A*x^n + k_lo, and y steps up
+    from y0 while y <= y_hi and k = B*y^n - A*x^n <= k_hi.  For fixed
+    (n, A, B), A*x^n + k_lo grows with x, so y0 never decreases: the
+    row's first x takes the exact root, y0 = max(nth_root_floor(
+    (A*x^n + k_lo - 1) // B, n) + 1, y_lo), and each later x walks y0 up
+    by exact steps while B*y0^n < A*x^n + k_lo.  A walk that needs more
+    than _WALK_STEPS steps (a long gap) takes the root again instead, and
+    once y0 passes y_hi the rest of the row has no candidates.  The walk
+    is skipped when B divides A*x^n + k for no k of the window.  So the
+    scan costs about one root per (n, A, B) row plus a few steps per x and
+    one per candidate, not one per k, and no float ever decides
+    membership.  cells_scanned still counts every (n, A, B, x, k) cell of
+    the box.
     """
     return _scan(box, FIXED_K, cell_ceiling, budget, _fixed_k_cells)
 

@@ -271,6 +271,18 @@ class TestOracleEquivalence:
 class TestFixedKWindow:
     """The fixed-k scan steps y through one window per (n, A, B, x)."""
 
+    @pytest.fixture
+    def root_calls(self, monkeypatch):
+        calls = []
+        root = search.nth_root_floor
+
+        def counting_root(v, n):
+            calls.append((v, n))
+            return root(v, n)
+
+        monkeypatch.setattr(search, "nth_root_floor", counting_root)
+        return calls
+
     def test_one_x_window_holds_several_y(self):
         # y^2 = 4 + k for k <= 400 gives y = 3..20; the odd y are coprime.
         box = fixed_box((2, 2), (2, 2), (2, 30), (1, 1), (1, 1), (1, 400))
@@ -297,6 +309,10 @@ class TestFixedKWindow:
     @example(2, 2, 0, 9, 20, 1, 0, 1, 0, 1, 400, True)
     @example(2, 2, 0, 2, 6, 1, 0, 1, 0, 1, 400, True)
     @example(3, 1, 1, 2, 20, 1, 1, 1, 1, 1, 400, False)
+    # The x range is empty after the non-triviality floor.
+    @example(2, 1, 0, 2, 20, 1, 0, 1, 0, 1, 400, True)
+    # The least y passes y_hi at x = 6, in the middle of the x range.
+    @example(2, 2, 6, 2, 4, 1, 0, 1, 0, 1, 20, True)
     def test_wide_k_windows_match_oracle(
         self, n, x_lo, x_w, y_lo, y_w, a_lo, a_w, b_lo, b_w, k_lo, k_w, nontrivial
     ):
@@ -317,20 +333,36 @@ class TestFixedKWindow:
             merged = merge_results([enumerate_fixed_k(p) for p in pieces], FIXED_K)
             assert merged == whole
 
-    def test_at_most_one_root_per_x(self, monkeypatch):
-        calls = 0
-        root = search.nth_root_floor
+    def test_single_high_x_cell(self):
+        x = 10 ** 9
+        box = fixed_box((2, 2), (x, x), (2, 10 ** 10), (1, 1), (1, 1), (2 * x + 1, 2 * x + 1))
+        result = enumerate_fixed_k(box)
+        assert [(s.x, s.y) for s, _ in result.solutions] == [(x, x + 1)]
+        assert result.cells_scanned == 1
 
-        def counting_root(v, n):
-            nonlocal calls
-            calls += 1
-            return root(v, n)
-
-        monkeypatch.setattr(search, "nth_root_floor", counting_root)
+    def test_at_most_one_root_per_x(self, root_calls):
         box = fixed_box((2, 4), (2, 30), (2, 10 ** 6), (1, 3), (1, 3), (1, 400))
         result = enumerate_fixed_k(box)
         assert result.solutions
-        assert calls <= cell_count(box) // 400 == 3 * 29 * 3 * 3
+        assert len(root_calls) <= cell_count(box) // 400 == 3 * 29 * 3 * 3
+
+    def test_one_root_per_row(self, root_calls):
+        # The least y grows by at most two from one x to the next here, so
+        # only each (n, A, B) row's first x takes a root.
+        box = fixed_box((2, 3), (2, 60), (2, 120), (1, 3), (1, 2), (1, 20))
+        result = enumerate_fixed_k(box)
+        assert len(root_calls) == 2 * 3 * 2
+        assert result.solutions
+        assert result.solutions == brute_force_oracle(box).solutions
+
+    def test_long_gaps_take_the_root(self, root_calls):
+        # The least y grows by about 10^6 from one x to the next, so every x
+        # takes a root rather than walking y up one step at a time.
+        box = fixed_box((2, 2), (2, 60), (2, 10 ** 14), (10 ** 12, 10 ** 12), (1, 1), (1, 75))
+        result = enumerate_fixed_k(box)
+        assert 59 <= len(root_calls) <= 59 + 1
+        assert result.solutions == ()
+        assert result.cells_scanned == 59 * 75
 
 
 class TestEmittedInvariants:
