@@ -34,9 +34,9 @@ _LEAF_ERR = 1
 # they are rounded to LN_SCALE digits (see ln_product).
 _LEAF_GUARD = 3
 
-# Keys up to this limit are split by factor.factorize(memoize=False), which
-# needs trial division alone there (a cofactor below 10**8 is prime): no
-# rho step, no budget and no factor cache entry.
+# Keys up to this limit are split by factor.factorize, which needs trial
+# division alone there (a cofactor below 10**8 is prime): no rho step and
+# no budget.
 _RECURRENCE_LIMIT = 10 ** 8
 
 # Logs as (value, err) with |value - ln(key) * 10**LN_SCALE| <= err, keyed
@@ -145,9 +145,9 @@ def _ln_fill(v: int) -> tuple[int, int]:
         # factor imports this module, so it is imported on first use.
         from .factor import factorize
 
-        factors = factorize(v, memoize=False).factors
+        factors = factorize(v).factors
         if factors == ((v, 1),):
-            value, err = _ln_sum(factorize(v - 1, memoize=False).factors)
+            value, err = _ln_sum(factorize(v - 1).factors)
             result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
         else:
             result = _ln_sum(factors)
@@ -257,6 +257,9 @@ def ln_product(terms) -> Decimal:
 
 def ln_big(v: int) -> BigLog:
     """Natural log of a positive integer at full working precision."""
+    # Checked before ln_cached's lookup, where 2.0 and True find 2 and 1.
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError("ln expects an integer")
     return BigLog(value=ln_product(((v, 1),)), precision_digits=LN_PRECISION)
 
 

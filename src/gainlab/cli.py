@@ -26,7 +26,7 @@ from math import gcd
 from operator import itemgetter
 
 from .bigmath import round_sig
-from .factor import FactorBudgetExceeded
+from .factor import FactorBudgetExceeded, resolve_budget
 from .gains import (
     BOUND_FIELDS,
     GainReport,
@@ -285,10 +285,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
     except FactorBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as err:
-        # e.g. an unparseable GAINLAB_FACTOR_BUDGET setting
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     layout = _ANALYZE_LAYOUTS[g.gp_max_custom is not None]
     layout.print_document(args.output_format, solution_report(s, g))
     return EXIT_OK
@@ -406,9 +402,6 @@ def _run_verify_corpus(args: argparse.Namespace) -> int:
         except FactorBudgetExceeded as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_RESOURCE
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
         quantities = {}
         for qty, verdict in report.quantities.items():
             actual = verdict.actual
@@ -482,6 +475,13 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         args = parse_args(argv)
+        # A bad budget setting is a usage error for every command, not only
+        # for those that happen to reach rho.
+        try:
+            resolve_budget()
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
         return _COMMANDS[args.command](args)
     except SystemExit as exit_:
         # argparse exits 2 on usage errors and 0 for --help.

@@ -128,13 +128,14 @@ class _Budget:
             raise _BudgetSpent
 
 
-# Complete factorizations are memoized per value; the fill is idempotent
-# (pure function of the key), so concurrent duplicate fills are harmless.
+# factorize_product's memo of its components below _TRIAL_LIMIT, which trial
+# division settles with no rho step or budget: a hit is what a fresh call
+# would return under any budget, and there are at most _TRIAL_LIMIT entries.
 _cache: dict[int, Factorization] = {}
 
 
 def clear_cache() -> None:
-    """Forget memoized factorizations (used by tests and long sweeps)."""
+    """Forget the memoized small factorizations, to start a timing cold."""
     _cache.clear()
 
 
@@ -253,7 +254,8 @@ def _small_prime_divisors(v: int) -> list[int]:
     return out
 
 
-def _resolve_budget(budget: int | None) -> int:
+def resolve_budget(budget: int | None = None) -> int:
+    """budget, else the GAINLAB_FACTOR_BUDGET setting (ValueError if bad), else 10**8."""
     if budget is not None:
         return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
@@ -262,30 +264,24 @@ def _resolve_budget(budget: int | None) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(
-            f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be nonnegative")
     return value
 
 
-def factorize(v: int, budget: int | None = None, memoize: bool = True) -> Factorization:
+def factorize(v: int, budget: int | None = None) -> Factorization:
     """Complete prime factorization of v >= 1 within the iteration budget.
 
     budget bounds the total rho iterations for this call; None reads the
     GAINLAB_FACTOR_BUDGET environment variable, defaulting to 10**8.
     Raises FactorBudgetExceeded with the partial result if it runs out.
+    Nothing is memoized, so the result depends on v and the budget alone.
     """
     if not isinstance(v, int) or isinstance(v, bool):
         raise TypeError("factorize expects an integer")
     if v < 1:
         raise ValueError("factorize expects an integer >= 1")
-    if memoize:
-        cached = _cache.get(v)
-        if cached is not None:
-            return cached
-
     counts: dict[int, int] = {}
     rem = v
     for p in _small_prime_divisors(v):
@@ -299,7 +295,7 @@ def factorize(v: int, budget: int | None = None, memoize: bool = True) -> Factor
             # No prime factor below its square root exists, so rem is prime.
             counts[rem] = 1
         else:
-            tracker = _Budget(_resolve_budget(budget))
+            tracker = _Budget(resolve_budget(budget))
             # (t, m): t**m divides rem and is still to be split.
             stack = [(rem, 1)]
             while stack:
@@ -323,10 +319,7 @@ def factorize(v: int, budget: int | None = None, memoize: bool = True) -> Factor
                 stack.append((d, m))
                 stack.append((t // d, m))
 
-    result = Factorization(tuple(sorted(counts.items())), True)
-    if memoize:
-        _cache[v] = result
-    return result
+    return Factorization(tuple(sorted(counts.items())), True)
 
 
 def factorize_product(components: tuple[int, ...] | list[int], budget: int | None = None) -> Factorization:
@@ -334,11 +327,17 @@ def factorize_product(components: tuple[int, ...] | list[int], budget: int | Non
 
     Components are factored individually and their exponents merged, so
     the product itself is never factored and components are free to share
-    primes.  Raises FactorBudgetExceeded if any component blows the budget.
+    primes.  Components below _TRIAL_LIMIT are memoized in _cache (the type
+    is checked first: True and 2.0 would find the entries of 1 and 2).
+    Raises FactorBudgetExceeded if any component blows the budget.
     """
     counts: dict[int, int] = {}
     for c in components:
-        for p, e in factorize(c, budget=budget).factors:
+        if type(c) is int and c < _TRIAL_LIMIT:
+            f = _cache.get(c) or _cache.setdefault(c, factorize(c))
+        else:
+            f = factorize(c, budget=budget)
+        for p, e in f.factors:
             counts[p] = counts.get(p, 0) + e
     return Factorization(tuple(sorted(counts.items())), True)
 

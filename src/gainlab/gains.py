@@ -351,6 +351,7 @@ def compute_gains(
     *,
     budget: int | None = None,
     q_max_custom: QMax | None = None,
+    factorization: Factorization | None = None,
 ) -> GainReport:
     """Full GainReport for a valid Solution.
 
@@ -360,32 +361,34 @@ def compute_gains(
     10**80 with proven error bounds, and ln C = ln B + n*ln y (see
     bigmath.ln_product), so each costs a few integer additions and one
     integer rounding test per solution.
-    x, y, A, B and k are factored one at a time, each with its own full
-    budget, so one report can spend up to five budgets.  Raises
-    FactorBudgetExceeded if the radical cannot be completed.
+    A caller that has already factored the tuple passes
+    factorization = factorize_product((x, y, A, B, k)) and gets the same
+    report.  Otherwise x, y, A, B and k are factored one at a time, each
+    with its own full budget, so one report can spend up to five budgets.
+    Raises FactorBudgetExceeded if the radical cannot be completed.
     """
-    f = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
-    return _build_report(s, f, q_max_custom)
+    if factorization is None:
+        factorization = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
+    return _build_report(s, factorization, q_max_custom)
 
 
 # Relative error bound of one math.log of an int >= 2 (see quality_below).
 _LOG_ERR = 2.0 ** -51
 
 
-def quality_below(s: Solution, threshold: Decimal, *, budget: int | None = None) -> bool:
+def quality_below(s: Solution, threshold: Decimal, factorization: Factorization) -> bool:
     """True only if s's 64-digit quality q is proven below threshold.
 
-    A float screen for threshold hunts, run before any 64-digit log: it
-    factors x, y, A, B and k as compute_gains does (so a tuple it keeps
-    finds them in the factor cache) and tests
+    A float screen for threshold hunts, run before any 64-digit log.  It
+    takes factorization = factorize_product((x, y, A, B, k)), the one
+    factorization that compute_gains then reports from, and tests
 
         ln C < t * ln R * (1 - margin),   margin = (m + 16) * 2**-52,
 
     with ln C = log(B) + n*log(y), ln R the sum of log(p) over the m primes
     of P, every log taken by math.log, and t = float(threshold).  It
     rejects nothing when t is inf, nan or at most 0, or when ln R is 0:
-    the right side is then inf, nan or at most 0.  Raises
-    FactorBudgetExceeded as compute_gains does.
+    the right side is then inf, nan or at most 0.
 
     Proof that a rejected tuple has q < threshold.  Let u = 2**-53, the
     unit roundoff.  math.log(v) of an int v >= 2 is log(float(v)), or for
@@ -410,7 +413,7 @@ def quality_below(s: Solution, threshold: Decimal, *, budget: int | None = None)
     correctly rounded 64-digit logs, within 10**-62 of q relatively, so it
     is below threshold too: compute_gains' report would have been dropped.
     """
-    primes = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget).factors
+    primes = factorization.factors
     ln_r = sum(math.log(p) for p, _ in primes)
     ln_c = math.log(s.B) + s.n * math.log(s.y)
     bound = float(threshold) * ln_r * (1.0 - (len(primes) + 16) * 2.0 ** -52)

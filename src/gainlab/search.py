@@ -22,7 +22,7 @@ from math import gcd
 from time import perf_counter
 
 from .bigmath import int_text, nth_root_floor
-from .factor import FactorBudgetExceeded
+from .factor import FactorBudgetExceeded, factorize_product
 from .gains import (
     GainReport,
     Solution,
@@ -199,9 +199,11 @@ def _scan(
 
     cells(box, progress) is a generator over the normalized box that yields
     (n, x, y, A, B, k) for each coprime candidate of the mode and counts its
-    cells on progress.  In derived_k mode only, a q_threshold drops reports
-    of lower known quality; with screen, candidates that quality_below
-    proves below it are dropped before their report is built.
+    cells on progress.  Each candidate is factored once, and the screen and
+    the report both read that factorization.  In derived_k mode only, a
+    q_threshold drops reports of lower known quality; with screen,
+    candidates that quality_below proves below it are dropped before their
+    report is built.
     """
     b = _normalized(box, mode)
     total = cell_count(b)
@@ -215,13 +217,15 @@ def _scan(
     for n, x, y, A, B, k in cells(b, progress):
         s = validate_solution(n, x, y, A, B, k)
         try:
-            if screened is not None and quality_below(s, screened, budget=budget):
-                continue
-            report = compute_gains(s, budget=budget)
+            f = factorize_product((x, y, A, B, k), budget=budget)
         except FactorBudgetExceeded:
             # The solution itself is exact; only radical-dependent fields are
             # unavailable, and they are reported as such rather than dropped.
             report = compute_gains_partial(s)
+        else:
+            if screened is not None and quality_below(s, screened, f):
+                continue
+            report = compute_gains(s, factorization=f)
         if threshold is not None and report.q is not None and report.q < threshold:
             continue
         out.append((s, report))

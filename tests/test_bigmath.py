@@ -125,6 +125,14 @@ class TestLnBig:
         with pytest.raises(ValueError):
             ln_big(-3)
 
+    def test_rejects_non_integers_after_their_int_is_cached(self):
+        # 2.0 and True hash and compare equal to 2 and 1.
+        ln_big(1)
+        ln_big(2)
+        for v in (2.0, True):
+            with pytest.raises(TypeError):
+                ln_big(v)
+
     @given(
         st.integers(min_value=1, max_value=10 ** 30),
         st.integers(min_value=1, max_value=10 ** 30),

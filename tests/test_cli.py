@@ -17,7 +17,7 @@ from gainlab.cli import (
     parse_args,
     solution_report,
 )
-from gainlab.factor import BUDGET_ENV_VAR, clear_cache
+from gainlab.factor import BUDGET_ENV_VAR
 from gainlab.gains import compute_gains, custom_qmax, validate_solution
 
 DEWEGER_ARGS = [
@@ -277,7 +277,6 @@ class TestAnalyzeFailures:
         assert any(v["kind"] == "range-violation" for v in doc["violations"])
 
     def test_budget_exhaustion_exit(self, capsys, monkeypatch):
-        clear_cache()
         monkeypatch.setenv(BUDGET_ENV_VAR, "10")
         code, out, err = run_cli(capsys, HARD_ARGS + ["--format", "json"])
         assert code == EXIT_RESOURCE
@@ -285,11 +284,24 @@ class TestAnalyzeFailures:
         assert "budget" in err
 
     def test_garbage_budget_env_is_usage_error(self, capsys, monkeypatch):
-        clear_cache()
         monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
         code, out, err = run_cli(capsys, HARD_ARGS)
         assert code == EXIT_USAGE
         assert "error:" in err
+
+    @pytest.mark.parametrize("setting, args", [
+        # Neither invocation needs a rho step, so the setting is checked
+        # before any command runs, not when rho first reads it.
+        ("lots", ["analyze", "--n", "5", "--x", "9", "--y", "23",
+                  "--A", "109", "--B", "1", "--k", "2"]),
+        ("-5", ["hunt", "--n", "2", "--x", "2:5", "--y", "2:5", "--A", "1", "--B", "1"]),
+    ])
+    def test_bad_budget_env_fails_every_command(self, capsys, monkeypatch, setting, args):
+        monkeypatch.setenv(BUDGET_ENV_VAR, setting)
+        code, out, err = run_cli(capsys, args)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert BUDGET_ENV_VAR in err
 
 
 class TestPastTheIntToStrDigitLimit:
@@ -297,7 +309,6 @@ class TestPastTheIntToStrDigitLimit:
         # C = (10^2200 + 1)^2 has 4,401 digits, past Python's default
         # int-to-str limit of 4,300.  A zero budget stops the factoring of
         # y at once, so the report is partial.
-        clear_cache()
         monkeypatch.setenv(BUDGET_ENV_VAR, "0")
         x = 10 ** 2200
         limit = sys.get_int_max_str_digits()
@@ -615,11 +626,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("name", list(GOLDEN_INVOCATIONS))
     def test_stdout_and_exit_code(self, capsys, monkeypatch, golden, name, fmt):
         monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-        env = GOLDEN_ENV.get(name, {})
-        if env:
-            # A memoized factorization would bypass the budget.
-            clear_cache()
-        for key, value in env.items():
+        for key, value in GOLDEN_ENV.get(name, {}).items():
             monkeypatch.setenv(key, value)
         code, out, _ = run_cli(capsys, GOLDEN_INVOCATIONS[name] + ["--format", fmt])
         assert [code, out] == golden[f"{name}/{fmt}"]

@@ -7,11 +7,11 @@ import sympy
 from hypothesis import given, strategies as st
 from sympy.ntheory.primetest import mr
 
+from gainlab import factor
 from gainlab.factor import (
     BUDGET_ENV_VAR,
     FactorBudgetExceeded,
     Factorization,
-    clear_cache,
     factorize,
     factorize_product,
     is_prime,
@@ -61,7 +61,6 @@ class TestFactorize:
         assert f.factors == ((p, 1),)
 
     def test_semiprime_needs_rho(self):
-        clear_cache()
         f = factorize(HARD_P * HARD_Q)
         assert f.factors == ((HARD_P, 1), (HARD_Q, 1))
 
@@ -86,23 +85,23 @@ class TestPerfectPowers:
     """Perfect powers are settled by exact roots, without spending rho budget."""
 
     def test_square_of_a_prime_beyond_trial_division(self):
-        f = factorize(HARD_P ** 2, budget=1000, memoize=False)
+        f = factorize(HARD_P ** 2, budget=1000)
         assert f == Factorization(((HARD_P, 2),), True)
 
     def test_cube_times_a_small_prime(self):
         p = 10 ** 9 + 7
-        f = factorize(5 * p ** 3, budget=0, memoize=False)
+        f = factorize(5 * p ** 3, budget=0)
         assert f.factors == ((5, 1), (p, 3))
 
     def test_nested_and_composite_roots(self):
-        assert factorize(HARD_P ** 12, budget=0, memoize=False).factors == ((HARD_P, 12),)
+        assert factorize(HARD_P ** 12, budget=0).factors == ((HARD_P, 12),)
         # The composite root goes on to rho once, not once per copy.
-        f = factorize((HARD_P * HARD_Q) ** 5, memoize=False)
+        f = factorize((HARD_P * HARD_Q) ** 5)
         assert f.factors == ((HARD_P, 5), (HARD_Q, 5))
 
     def test_budget_error_keeps_the_power_of_the_cofactor(self):
         with pytest.raises(FactorBudgetExceeded) as exc:
-            factorize(3 * (HARD_P * HARD_Q) ** 2, budget=10, memoize=False)
+            factorize(3 * (HARD_P * HARD_Q) ** 2, budget=10)
         assert exc.value.partial == Factorization(((3, 1),), False)
         assert exc.value.cofactor == (HARD_P * HARD_Q) ** 2
 
@@ -114,7 +113,7 @@ class TestPerfectPowers:
     def test_prime_power_times_prime_agrees_with_oracle(self, a, b, e):
         p, q = sympy.nextprime(a), sympy.nextprime(b)
         v = p ** e * q
-        assert dict(factorize(v, memoize=False).factors) == sympy.factorint(v)
+        assert dict(factorize(v).factors) == sympy.factorint(v)
 
 
 SMALL_PRIMES = list(sympy.primerange(2, 10 ** 4))
@@ -124,12 +123,12 @@ class TestTrialDivision:
     """The gcd-with-the-primorial trial division against sympy.factorint."""
 
     def agrees(self, v):
-        f = factorize(v, budget=0, memoize=False)
+        f = factorize(v, budget=0)
         assert f.complete
         assert dict(f.factors) == sympy.factorint(v)
 
     def test_one(self):
-        assert factorize(1, memoize=False) == Factorization((), True)
+        assert factorize(1) == Factorization((), True)
         self.agrees(1)
 
     @pytest.mark.parametrize("i, j", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 3), (5, 1)])
@@ -281,7 +280,7 @@ class TestRadical:
                 expected *= p
                 while t % p == 0:
                     t //= p
-            assert factorize(v, memoize=False).radical() == expected
+            assert factorize(v).radical() == expected
 
 
 class TestRadicalOfProduct:
@@ -306,10 +305,22 @@ class TestFactorizeProduct:
     def test_matches_factorization_of_the_product(self, parts):
         assert factorize_product(parts) == factorize(math.prod(parts))
 
+    def test_rejects_non_integers_after_their_int_is_memoized(self):
+        # 2.0 and True hash and compare equal to 2 and 1.
+        factorize_product((1, 2))
+        assert 1 in factor._cache and 2 in factor._cache
+        for v in (2.0, True):
+            with pytest.raises(TypeError):
+                factorize_product((v,))
+
+    def test_memoizes_only_what_trial_division_settles(self):
+        factorize_product((9999, 10 ** 4, HARD_P * HARD_Q))
+        assert 9999 in factor._cache
+        assert 10 ** 4 not in factor._cache and HARD_P * HARD_Q not in factor._cache
+
 
 class TestBudget:
     def test_budget_exceeded_carries_partial_and_cofactor(self):
-        clear_cache()
         n = HARD_P * HARD_Q * 4
         with pytest.raises(FactorBudgetExceeded) as exc:
             factorize(n, budget=10)
@@ -329,12 +340,10 @@ class TestBudget:
         assert str(HARD_P * HARD_Q) in str(exc.value)
 
     def test_radical_propagates(self):
-        clear_cache()
         with pytest.raises(FactorBudgetExceeded):
             factorize(HARD_P * HARD_Q, budget=10).radical()
 
     def test_env_var_controls_default(self, monkeypatch):
-        clear_cache()
         monkeypatch.setenv(BUDGET_ENV_VAR, "10")
         with pytest.raises(FactorBudgetExceeded):
             factorize(HARD_P * HARD_Q)
@@ -342,13 +351,12 @@ class TestBudget:
         assert factorize(HARD_P * HARD_Q).complete
 
     def test_env_var_rejects_garbage(self, monkeypatch):
-        clear_cache()
         monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
         with pytest.raises(ValueError):
             factorize(HARD_P * HARD_Q)
 
-    def test_memoized_success_needs_no_budget(self):
-        clear_cache()
+    def test_earlier_success_does_not_lift_the_budget(self):
         assert factorize(HARD_P * HARD_Q).complete
-        # A cached complete result is returned even under a zero budget.
-        assert factorize(HARD_P * HARD_Q, budget=0).complete
+        # Nothing is memoized: a zero budget fails whatever was factored before.
+        with pytest.raises(FactorBudgetExceeded):
+            factorize(HARD_P * HARD_Q, budget=0)

@@ -1,17 +1,22 @@
 """Box search: fixed-k enumeration, derived-k hunt, oracle equivalence."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from gainlab import bigmath, gains, search
+import gainlab
+from gainlab import bigmath, cli, corpus, factor, gains, search
 from gainlab.bigmath import CTX, clear_ln_cache
-from gainlab.factor import clear_cache
+from gainlab.factor import BUDGET_ENV_VAR, factorize_product
 from gainlab.gains import check_solution, quality_below, validate_solution
 from gainlab.search import (
     BoxTooLarge,
@@ -487,7 +492,6 @@ class TestCellCeilings:
 
 class TestBudgetPartials:
     def test_fixed_mode_emits_partial_report(self):
-        clear_cache()
         box = fixed_box(
             (2, 2), (15, 15), (10022, 10022), (1, 1), (1, 1), (HARD_K, HARD_K)
         )
@@ -508,7 +512,6 @@ class TestBudgetPartials:
         assert g.q is not None
 
     def test_hunt_sorts_partials_after_known_quality(self):
-        clear_cache()
         # Odd x in 15..21 pass the coprimality gate.  x = 15 derives HARD_K
         # (blows the tiny budget); 17, 19, 21 derive k values whose factors
         # all fall to trial division, so their reports are complete.
@@ -534,7 +537,6 @@ class TestBudgetPartials:
         assert g.q is None and g.G_a is not None
 
     def test_threshold_keeps_unknown_quality(self):
-        clear_cache()
         box = derived_box(
             (2, 2), (15, 15), (10022, 10022), (1, 1), (1, 1),
             q_threshold=Decimal("100"),
@@ -543,6 +545,36 @@ class TestBudgetPartials:
         # Quality is unknown, so the threshold cannot justify dropping it.
         assert len(result.solutions) == 1
         assert result.solutions[0][1].q is None
+
+
+class TestFactorMemo:
+    """A hunt's result depends on its inputs and budget, not on earlier calls."""
+
+    # The golden hunt-partial box: under a zero budget two of its five k
+    # need the rho stage and get partial reports.
+    PARTIAL_BOX = derived_box((9, 9), (38, 41), (38, 41), (1, 2), (1, 1))
+
+    def test_fresh_process_equals_warm_process(self):
+        script = (
+            "from gainlab.search import SearchBox, hunt_derived_k\n"
+            f"r = hunt_derived_k({self.PARTIAL_BOX!r}, budget=0)\n"
+            "print(repr([(s.canonical_key(), g.R) for s, g in r.solutions]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != BUDGET_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(gainlab.__file__).parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            check=True, timeout=60,
+        ).stdout
+        hunt_derived_k(self.PARTIAL_BOX)
+        warm = hunt_derived_k(self.PARTIAL_BOX, budget=0)
+        assert fresh == repr([(s.canonical_key(), g.R) for s, g in warm.solutions]) + "\n"
+        assert sum(g.R is None for _, g in warm.solutions) == 2
+
+    def test_memo_holds_only_small_ints(self):
+        hunt_derived_k(derived_box((2, 3), (2, 40), (2, 40), (1, 2), (1, 2)))
+        assert factor._cache
+        assert all(type(v) is int and v < 10 ** 4 for v in factor._cache)
 
 
 class TestScreen:
@@ -606,9 +638,30 @@ class TestScreen:
 
     def test_screen_rejects_nothing_it_cannot_prove(self):
         s = validate_solution(5, 9, 23, 109, 1, 2)
+        f = factorize_product((9, 23, 109, 1, 2))
         for t in ("1e400", "NaN", "-Infinity", "1e-310", "1e-400", "0", "-2", "1.629911684127048"):
-            assert not quality_below(s, Decimal(t)), t
-        assert quality_below(s, Decimal("1.629911684128"))
+            assert not quality_below(s, Decimal(t), f), t
+        assert quality_below(s, Decimal("1.629911684128"), f)
+
+    def test_each_tuple_is_factored_once(self, monkeypatch):
+        # Every tuple has q > 0.1, so the screen keeps all of them and each
+        # gets a report, from the one factorization the screen read.
+        box = derived_box((7, 8), (2, 12), (2, 12), (1, 2), (1, 2), q_threshold=Decimal("0.1"))
+        coprime = brute_force_oracle(replace(box, q_threshold=None))
+        factored = []
+        original = factor.factorize_product
+
+        def counted(components, budget=None):
+            factored.append(tuple(components))
+            return original(components, budget=budget)
+
+        for module in (gainlab, bigmath, factor, gains, search, corpus, cli):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+        result = hunt_derived_k(box)
+        assert len(result.solutions) == len(coprime.solutions) > 100
+        assert sorted(factored) == sorted((s.x, s.y, s.A, s.B, s.k) for s, _ in result.solutions)
 
     @given(st.integers(min_value=2, max_value=2 ** 256))
     @example(2 ** 53 + 1)
@@ -650,7 +703,6 @@ class TestLogOracle:
         assert all(sympy.isprime(v) or v <= 20 for v in bigmath._ln_cache)
 
     def test_partial_reports(self):
-        clear_cache()
         # x = 15 derives HARD_K, which a zero budget cannot split.
         box = derived_box((2, 2), (15, 21), (10022, 10022), (1, 1), (1, 1))
         result = hunt_derived_k(box, budget=0)
