@@ -1,11 +1,13 @@
 """Exhaustive solution search over bounded parameter boxes.
 
-Two modes: fixed_k scans the (n, A, B, x, k) cells for the least y whose
-k = B*y^n - A*x^n reaches the k window, which never decreases as x grows,
-so it takes one exact root per (n, A, B) row, walks that y up by a few
-exact steps per x (a root again after a long gap), and steps y up while k
-stays inside the window; derived_k iterates (n, A, B, x, y) and sets
-k = B*y^n - A*x^n.  A derived_k hunt with a quality threshold screens
+Both modes run one scan: for each (n, A, B, x) the admissible y form a
+window whose least y, the least y with k = B*y^n - A*x^n in the k window,
+never decreases as x grows.  So the scan takes one exact root per
+(n, A, B) row, walks that y up by a few exact steps per x (a root again
+after a long gap), and steps y up while k stays inside the window.
+fixed_k takes the box's k window; derived_k (a hunt) takes every k from
+1 up.  No power is tabulated, so scan memory does not grow with the
+width of any axis.  A derived_k hunt with a quality threshold screens
 each factored tuple in floats first and builds 64-digit reports only for
 those not proven below it.  A deliberately dumb brute-force oracle backs
 both in tests.  Boxes split into disjoint sub-boxes whose merged results
@@ -233,46 +235,53 @@ def _scan(
     return SearchResult(tuple(out), progress.scanned, perf_counter() - t0)
 
 
-def _fixed_k_cells(b: SearchBox, progress: _Progress):
+def _window_cells(b: SearchBox, progress: _Progress):
     n_lo, n_hi = b.n_range
     x_lo, x_hi = b.x_range
     y_lo, y_hi = b.y_range
     a_lo, a_hi = b.A_range
     b_lo, b_hi = b.B_range
-    k_lo, k_hi = b.k_range
-    k_width = k_hi - k_lo + 1
     for n in range(n_lo, n_hi + 1):
-        xpow = {x: x ** n for x in range(x_lo, x_hi + 1)}
+        # The k window and the cells each x counts.  A hunt's window holds
+        # every k >= 1 the box can reach, since k < B*y^n <= B_hi*y_hi^n.
+        if b.mode == FIXED_K:
+            k_lo, k_hi = b.k_range
+            per_x = k_hi - k_lo + 1
+        else:
+            k_lo, k_hi = 1, b_hi * y_hi ** n
+            per_x = y_hi - y_lo + 1
         for A in range(a_lo, a_hi + 1):
             for B in range(b_lo, b_hi + 1):
                 # y0 is the least y >= y_lo with B*y0^n >= A*x^n + k_lo, carried
-                # from x to x; 0 until the row's first x takes the root.
+                # from x to x; 0 until the row's first x takes the root.  Once
+                # y0 has passed y_hi no later x has a candidate.
                 y0 = byn = 0
                 for x in range(x_lo, x_hi + 1):
-                    ax = A * x
-                    axn = A * xpow[x]
-                    least = axn + k_lo
-                    # No y exists unless B divides A*x^n + k for some k in the
-                    # window, and none past y_hi once y0 has passed it.
-                    if y0 <= y_hi and -least % B < k_width:
-                        # Walk y0 up from the last x's, or take the root.
-                        steps = _WALK_STEPS if y0 else 0
-                        while byn < least and steps:
-                            y0 += 1
-                            byn = B * y0 ** n
-                            steps -= 1
-                        if byn < least:
-                            y0 = max(nth_root_floor((least - 1) // B, n) + 1, y_lo)
-                            byn = B * y0 ** n
-                        # y steps up from y0 while k <= k_hi.
-                        y = y0
-                        k = byn - axn
-                        while y <= y_hi and k <= k_hi:
-                            if gcd(ax, B * y, k) == 1:
-                                yield n, x, y, A, B, k
-                            y += 1
-                            k = B * y ** n - axn
-                    progress.advance(k_width)
+                    if y0 <= y_hi:
+                        axn = A * x ** n
+                        least = axn + k_lo
+                        # No y exists unless B divides A*x^n + k for some k in
+                        # the window.
+                        if -least % B <= k_hi - k_lo:
+                            # Walk y0 up from the last x's, or take the root.
+                            steps = _WALK_STEPS if y0 else 0
+                            while byn < least and steps:
+                                y0 += 1
+                                byn = B * y0 ** n
+                                steps -= 1
+                            if byn < least:
+                                y0 = max(nth_root_floor((least - 1) // B, n) + 1, y_lo)
+                                byn = B * y0 ** n
+                            # y steps up from y0 while k <= k_hi.
+                            ax = A * x
+                            y = y0
+                            k = byn - axn
+                            while y <= y_hi and k <= k_hi:
+                                if gcd(ax, B * y, k) == 1:
+                                    yield n, x, y, A, B, k
+                                y += 1
+                                k = B * y ** n - axn
+                    progress.advance(per_x)
 
 
 def enumerate_fixed_k(
@@ -291,42 +300,15 @@ def enumerate_fixed_k(
     (A*x^n + k_lo - 1) // B, n) + 1, y_lo), and each later x walks y0 up
     by exact steps while B*y0^n < A*x^n + k_lo.  A walk that needs more
     than _WALK_STEPS steps (a long gap) takes the root again instead, and
-    once y0 passes y_hi the rest of the row has no candidates.  The walk
-    is skipped when B divides A*x^n + k for no k of the window.  So the
-    scan costs about one root per (n, A, B) row plus a few steps per x and
-    one per candidate, not one per k, and no float ever decides
-    membership.  cells_scanned still counts every (n, A, B, x, k) cell of
-    the box.
+    once y0 passes y_hi the rest of the row takes no power at all.  The
+    walk is skipped when B divides A*x^n + k for no k of the window.  So
+    the scan costs about one root per (n, A, B) row plus a few steps per
+    x and one per candidate, not one per k; no float ever decides
+    membership, and no table of powers is kept.  cells_scanned still
+    counts every (n, A, B, x, k) cell of the box.  hunt_derived_k runs
+    the same scan.
     """
-    return _scan(box, FIXED_K, cell_ceiling, budget, _fixed_k_cells)
-
-
-def _derived_k_cells(b: SearchBox, progress: _Progress):
-    n_lo, n_hi = b.n_range
-    x_lo, x_hi = b.x_range
-    y_lo, y_hi = b.y_range
-    a_lo, a_hi = b.A_range
-    b_lo, b_hi = b.B_range
-    xs = range(x_lo, x_hi + 1)
-    x_width = x_hi - x_lo + 1
-    for n in range(n_lo, n_hi + 1):
-        xpow = [x ** n for x in xs]
-        ypow = {y: y ** n for y in range(y_lo, y_hi + 1)}
-        for A in range(a_lo, a_hi + 1):
-            ax_list = [A * x for x in xs]
-            axn_list = [A * p for p in xpow]
-            for B in range(b_lo, b_hi + 1):
-                for y in range(y_lo, y_hi + 1):
-                    byn = B * ypow[y]
-                    by = B * y
-                    for i in range(x_width):
-                        k = byn - axn_list[i]
-                        if k < 1:
-                            continue
-                        if gcd(ax_list[i], by, k) != 1:
-                            continue
-                        yield n, x_lo + i, y, A, B, k
-                    progress.advance(x_width)
+    return _scan(box, FIXED_K, cell_ceiling, budget, _window_cells)
 
 
 def hunt_derived_k(
@@ -337,17 +319,21 @@ def hunt_derived_k(
 ) -> SearchResult:
     """All solutions with k derived as B*y^n - A*x^n, ranked by quality.
 
-    Tuples with k < 1 are skipped (the dominant-term requirement), the
-    coprimality gate is exact, and an optional q_threshold keeps only
-    solutions with q >= threshold.  With a threshold every coprime tuple
-    is still factored, but only those that the proven float screen
-    (gains.quality_below) does not place below the threshold get 64-digit
-    logs and a report; the exact comparison then decides.  A tuple whose
-    factorization exceeds the budget gets a partial report, which the
-    threshold never drops.  Output is sorted by descending q with
-    canonical order breaking ties.
+    The scan is enumerate_fixed_k's window walk with the k window
+    [1, B_hi*y_hi^n], which holds every k >= 1 of the box: per (n, A, B)
+    row y0 is the least y >= y_lo with B*y0^n >= A*x^n + 1, and y steps
+    up from it to y_hi.  Tuples with k < 1 (the dominant-term
+    requirement) are counted in cells_scanned, one y-width of cells per
+    x, but never visited.  The coprimality gate is exact, and an
+    optional q_threshold keeps only solutions with q >= threshold.  With
+    a threshold every coprime tuple is still factored, but only those
+    that the proven float screen (gains.quality_below) does not place
+    below the threshold get 64-digit logs and a report; the exact
+    comparison then decides.  A tuple whose factorization exceeds the
+    budget gets a partial report, which the threshold never drops.
+    Output is sorted by descending q with canonical order breaking ties.
     """
-    return _scan(box, DERIVED_K, cell_ceiling, budget, _derived_k_cells, screen=True)
+    return _scan(box, DERIVED_K, cell_ceiling, budget, _window_cells, screen=True)
 
 
 def _oracle_cells(b: SearchBox, progress: _Progress):

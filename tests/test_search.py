@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
@@ -273,20 +274,21 @@ class TestOracleEquivalence:
         assert fast.solutions == brute_force_oracle(box).solutions
 
 
+@pytest.fixture
+def root_calls(monkeypatch):
+    calls = []
+    root = search.nth_root_floor
+
+    def counting_root(v, n):
+        calls.append((v, n))
+        return root(v, n)
+
+    monkeypatch.setattr(search, "nth_root_floor", counting_root)
+    return calls
+
+
 class TestFixedKWindow:
     """The fixed-k scan steps y through one window per (n, A, B, x)."""
-
-    @pytest.fixture
-    def root_calls(self, monkeypatch):
-        calls = []
-        root = search.nth_root_floor
-
-        def counting_root(v, n):
-            calls.append((v, n))
-            return root(v, n)
-
-        monkeypatch.setattr(search, "nth_root_floor", counting_root)
-        return calls
 
     def test_one_x_window_holds_several_y(self):
         # y^2 = 4 + k for k <= 400 gives y = 3..20; the odd y are coprime.
@@ -368,6 +370,78 @@ class TestFixedKWindow:
         assert 59 <= len(root_calls) <= 59 + 1
         assert result.solutions == ()
         assert result.cells_scanned == 59 * 75
+
+
+class TestHuntWindow:
+    """A hunt walks the same y window per (n, A, B, x), with k from 1 up."""
+
+    @given(
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=0, max_value=1),
+        st.booleans(),
+    )
+    # x wholly above y, so every k < 1: no solution, every cell counted.
+    @example(2, 10, 2, 2, 3, 1, 0, 1, 0, True)
+    # y_lo above the least root.
+    @example(2, 2, 3, 20, 10, 1, 0, 1, 0, True)
+    # A >> B: the least y grows by about 31 per x, so each x takes the root.
+    @example(2, 2, 4, 2, 200, 1000, 0, 1, 0, True)
+    # x = 1 admitted.
+    @example(3, 1, 3, 2, 20, 1, 1, 1, 1, False)
+    # The x range is empty after the non-triviality floor.
+    @example(2, 1, 0, 2, 20, 1, 0, 1, 0, True)
+    # The least y passes y_hi at x = 5, in the middle of the x range.
+    @example(2, 2, 6, 2, 3, 1, 0, 1, 0, True)
+    def test_windows_match_oracle(
+        self, n, x_lo, x_w, y_lo, y_w, a_lo, a_w, b_lo, b_w, nontrivial
+    ):
+        box = derived_box(
+            (n, n), (x_lo, x_lo + x_w), (y_lo, y_lo + y_w), (a_lo, a_lo + a_w),
+            (b_lo, b_lo + b_w), require_nontrivial=nontrivial,
+        )
+        fast = hunt_derived_k(box)
+        assert fast.solutions == brute_force_oracle(box).solutions
+        assert fast.cells_scanned == cell_count(box)
+
+    def test_one_root_per_row(self, root_calls):
+        # The least y grows by at most two from one x to the next here, so
+        # only each (n, A, B) row's first x takes a root.
+        box = derived_box((2, 3), (2, 20), (2, 40), (1, 3), (1, 2))
+        result = hunt_derived_k(box)
+        assert len(root_calls) == 2 * 3 * 2
+        assert result.solutions
+        assert result.solutions == brute_force_oracle(box).solutions
+
+
+class TestBoundedMemory:
+    """Scan memory does not grow with the width of any axis."""
+
+    @staticmethod
+    def traced_peak(scan, box):
+        tracemalloc.start()
+        try:
+            result = scan(box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.cells_scanned == cell_count(box)
+        return peak
+
+    def test_wide_y_hunt(self):
+        # The least y at x = 10^7 is past y_hi, so no cell is a candidate.
+        box = derived_box((2, 2), (10 ** 7, 10 ** 7), (2, 2 * 10 ** 6), (1, 1), (1, 1))
+        assert self.traced_peak(hunt_derived_k, box) < 10 ** 6
+
+    def test_wide_x_search(self):
+        box = fixed_box((2, 2), (2, 50_000), (2, 3), (1, 1), (1, 1), (1, 1))
+        assert self.traced_peak(enumerate_fixed_k, box) < 10 ** 6
 
 
 class TestEmittedInvariants:
@@ -727,6 +801,19 @@ class TestProgress:
             assert re.fullmatch(
                 r"progress: \d+/90 cells, \d+ solutions, \d+ cells/s, ETA \d+\.\ds", tick
             )
+
+    def test_hunt_ticks_once_per_x(self, capsys, monkeypatch):
+        # Each x stands for its 11 y cells, so ticks fall on multiples of 11.
+        monkeypatch.setattr(search, "PROGRESS_INTERVAL", 30)
+        box = derived_box((2, 2), (2, 8), (2, 12), (1, 1), (1, 1))
+        assert cell_count(box) == 77
+        hunt_derived_k(box)
+        ticks = capsys.readouterr().err.splitlines()
+        for tick in ticks:
+            assert re.fullmatch(
+                r"progress: \d+/77 cells, \d+ solutions, \d+ cells/s, ETA \d+\.\ds", tick
+            )
+        assert [int(re.match(r"progress: (\d+)/", t).group(1)) for t in ticks] == [33, 66]
 
     def test_no_progress_on_small_box(self, capsys):
         enumerate_fixed_k(spec_fixed_box())
