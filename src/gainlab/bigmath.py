@@ -166,7 +166,7 @@ def _ln_sum(factors) -> tuple[int, int]:
     """Sum of e*ln_cached(q) over ((q, e), ...), values and bounds alike."""
     value = err = 0
     for q, e in factors:
-        v, d = _ln_cache.get(q) or _ln_fill(q)
+        v, d = ln_cached(q)
         value += e * v
         err += e * d
     return value, err
@@ -238,11 +238,7 @@ def ln_product(terms) -> Decimal:
     of the time: unit is at least 10**16, and E is a few hundred units for
     a search's logs.
     """
-    value = err = 0
-    for b, e in terms:
-        v, d = ln_cached(b)
-        value += e * v
-        err += e * d
+    value, err = _ln_sum(terms)
     if not value:
         return _ZERO
     lo = value - err

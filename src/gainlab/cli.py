@@ -394,6 +394,10 @@ def _run_box(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# A corpus verdict row is (quantity, *_VERDICT_KEYS), formatted once.
+_VERDICT_KEYS = ("expected", "tolerance", "actual", "pass")
+
+
 def _run_verify_corpus(args: argparse.Namespace) -> int:
     entries = []
     for entry in builtin_corpus():
@@ -402,58 +406,42 @@ def _run_verify_corpus(args: argparse.Namespace) -> int:
         except FactorBudgetExceeded as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_RESOURCE
-        quantities = {}
-        for qty, verdict in report.quantities.items():
-            actual = verdict.actual
-            quantities[qty] = {
-                "expected": str(verdict.expected),
-                "tolerance": str(verdict.tolerance),
-                "actual": str(actual) if isinstance(actual, int) else _display(actual),
-                "pass": verdict.passed,
-            }
-        entries.append(
-            {
-                "name": entry.name,
-                "params": {
-                    "n": str(entry.n),
-                    "x": str(entry.x),
-                    "y": str(entry.y),
-                    "A": str(entry.A),
-                    "B": str(entry.B),
-                },
-                "k_printed": None if entry.k_printed is None else str(entry.k_printed),
-                "k_derived": str(entry.k_derived),
-                "consistency": dict(report.consistency),
-                "quantities": quantities,
-            }
-        )
+        rows = [
+            (qty, str(v.expected), str(v.tolerance),
+             str(v.actual) if isinstance(v.actual, int) else _display(v.actual), v.passed)
+            for qty, v in report.quantities.items()
+        ]
+        entries.append((entry, report.consistency, rows))
     fmt = args.output_format
     if fmt == "json":
-        print(json.dumps({"entries": entries}, indent=2))
+        doc = [
+            {
+                "name": e.name,
+                "params": {name: str(getattr(e, name)) for name in ("n", "x", "y", "A", "B")},
+                "k_printed": None if e.k_printed is None else str(e.k_printed),
+                "k_derived": str(e.k_derived),
+                "consistency": consistency,
+                "quantities": {row[0]: dict(zip(_VERDICT_KEYS, row[1:])) for row in rows},
+            }
+            for e, consistency, rows in entries
+        ]
+        print(json.dumps({"entries": doc}, indent=2))
     elif fmt == "csv":
-        print("name,kind,item,expected,tolerance,actual,pass")
-        for e in entries:
-            for check, verdict in e["consistency"].items():
-                print(f"{e['name']},consistency,{check},,,,{verdict}")
-            for qty, v in e["quantities"].items():
-                print(
-                    f"{e['name']},quantity,{qty},{v['expected']},{v['tolerance']},"
-                    f"{_csv_cell(v['actual'])},{_csv_cell(v['pass'])}"
-                )
+        print("name,kind,item," + ",".join(_VERDICT_KEYS))
+        for e, consistency, rows in entries:
+            for check, verdict in consistency.items():
+                print(f"{e.name},consistency,{check},,,,{verdict}")
+            for row in rows:
+                print(f"{e.name},quantity," + ",".join(map(_csv_cell, row)))
     else:
-        for e in entries:
-            p = e["params"]
-            print(
-                f"{e['name']}: n={p['n']} x={p['x']} y={p['y']} "
-                f"A={p['A']} B={p['B']} k_derived={e['k_derived']}"
-            )
-            for check, verdict in e["consistency"].items():
+        for e, consistency, rows in entries:
+            print(f"{e.name}: n={e.n} x={e.x} y={e.y} A={e.A} B={e.B} k_derived={e.k_derived}")
+            for check, verdict in consistency.items():
                 print(f"  consistency {check:<12} {verdict}")
-            for qty, v in e["quantities"].items():
-                status = "pass" if v["pass"] else "FAIL"
+            for qty, expected, tolerance, actual, passed in rows:
                 print(
-                    f"  {qty:<16} expected {v['expected']} +/- {v['tolerance']}"
-                    f"  actual {_csv_cell(v['actual'])}  {status}"
+                    f"  {qty:<16} expected {expected} +/- {tolerance}"
+                    f"  actual {_csv_cell(actual)}  {'pass' if passed else 'FAIL'}"
                 )
             print()
     return EXIT_OK

@@ -129,14 +129,12 @@ def builtin_corpus() -> tuple[CorpusEntry, ...]:
 _REPORT_QUANTITIES = ("G_a", "G_p", "q", "ga_min", "q_min", "gp_max_strong", "gp_max_ultra")
 
 
-def _actual_quantity(name: str, report: GainReport) -> Decimal | int | None:
+def _actual_quantity(name: str, report: GainReport) -> Decimal | int:
     if name in _REPORT_QUANTITIES:
         return getattr(report, name)
     if name == "radical_P":
         return report.R
     if name == "limit_ratio":
-        if report.G_p is None:
-            return None
         with localcontext(CTX):
             return report.G_p / report.gp_max_strong
     raise ValueError(f"unknown corpus quantity {name!r}")

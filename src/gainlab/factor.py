@@ -117,10 +117,17 @@ class _BudgetSpent(Exception):
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Rho iterations left for one call; the setting is read on reaching rho."""
 
-    def __init__(self, total: int):
-        self.left = total
+    __slots__ = ("budget", "left")
+
+    def __init__(self, budget: int | None):
+        self.budget = budget
+        self.left = None
+
+    def start(self) -> None:
+        if self.left is None:
+            self.left = resolve_budget(self.budget)
 
     def spend(self, amount: int) -> None:
         self.left -= amount
@@ -177,8 +184,6 @@ def _brent_rho(n: int, budget: _Budget) -> int:
     The polynomial constant steps deterministically 1, 2, 3, ... so results
     are reproducible.  Every polynomial evaluation spends one budget unit.
     """
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y, r, q = 2, 1, 1
@@ -278,6 +283,11 @@ def factorize(v: int, budget: int | None = None) -> Factorization:
     Raises FactorBudgetExceeded with the partial result if it runs out.
     Nothing is memoized, so the result depends on v and the budget alone.
     """
+    return _factorize(v, _Budget(budget))
+
+
+def _factorize(v: int, tracker: _Budget) -> Factorization:
+    """factorize(v), spending rho iterations from tracker."""
     if not isinstance(v, int) or isinstance(v, bool):
         raise TypeError("factorize expects an integer")
     if v < 1:
@@ -295,7 +305,7 @@ def factorize(v: int, budget: int | None = None) -> Factorization:
             # No prime factor below its square root exists, so rem is prime.
             counts[rem] = 1
         else:
-            tracker = _Budget(resolve_budget(budget))
+            tracker.start()
             # (t, m): t**m divides rem and is still to be split.
             stack = [(rem, 1)]
             while stack:
@@ -329,14 +339,16 @@ def factorize_product(components: tuple[int, ...] | list[int], budget: int | Non
     the product itself is never factored and components are free to share
     primes.  Components below _TRIAL_LIMIT are memoized in _cache (the type
     is checked first: True and 2.0 would find the entries of 1 and 2).
-    Raises FactorBudgetExceeded if any component blows the budget.
+    budget bounds the rho iterations of all components together; when it
+    runs out, FactorBudgetExceeded names the component being factored.
     """
     counts: dict[int, int] = {}
+    tracker = _Budget(budget)
     for c in components:
         if type(c) is int and c < _TRIAL_LIMIT:
             f = _cache.get(c) or _cache.setdefault(c, factorize(c))
         else:
-            f = factorize(c, budget=budget)
+            f = _factorize(c, tracker)
         for p, e in f.factors:
             counts[p] = counts.get(p, 0) + e
     return Factorization(tuple(sorted(counts.items())), True)

@@ -170,32 +170,26 @@ class GainReport:
     triviality: str
 
 
-def _require_int(name: str, v, minimum: int, violations: list[Violation]) -> None:
-    if v < minimum:
-        violations.append(
-            Violation(RANGE_VIOLATION, f"{name} = {v} violates {name} >= {minimum}")
-        )
-
-
 def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> ValidationReport:
     """Check every solution invariant; an empty report means valid.
 
     All violations are collected, not just the first: range bounds, the
     exact identity (with its integer residual), and triple coprimality.
+    A parameter that is not an int raises TypeError and a negative one
+    ValueError, the first such parameter in (n, x, y, A, B, k) order.
     """
-    for name, v in (("n", n), ("x", x), ("y", y), ("A", A), ("B", B), ("k", k)):
+    violations: list[Violation] = []
+    for name, v, least in (
+        ("n", n, 2), ("x", x, 1), ("y", y, 2), ("A", A, 1), ("B", B, 1), ("k", k, 1),
+    ):
         if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
         if v < 0:
             raise ValueError(f"{name} must be nonnegative, got {int_text(v)}")
-
-    violations: list[Violation] = []
-    _require_int("n", n, 2, violations)
-    _require_int("x", x, 1, violations)
-    _require_int("y", y, 2, violations)
-    _require_int("A", A, 1, violations)
-    _require_int("B", B, 1, violations)
-    _require_int("k", k, 1, violations)
+        if v < least:
+            violations.append(
+                Violation(RANGE_VIOLATION, f"{name} = {v} violates {name} >= {least}")
+            )
 
     # 0**0 never arises here: n = 0 is already a range violation above.
     if n >= 1:
@@ -363,8 +357,8 @@ def compute_gains(
     integer rounding test per solution.
     A caller that has already factored the tuple passes
     factorization = factorize_product((x, y, A, B, k)) and gets the same
-    report.  Otherwise x, y, A, B and k are factored one at a time, each
-    with its own full budget, so one report can spend up to five budgets.
+    report.  Otherwise x, y, A, B and k are factored one at a time within
+    one shared budget, so one report spends at most that budget.
     Raises FactorBudgetExceeded if the radical cannot be completed.
     """
     if factorization is None:

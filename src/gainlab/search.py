@@ -177,6 +177,13 @@ class _Progress:
             while self._next <= self.scanned:
                 self._next += PROGRESS_INTERVAL
 
+    def advance_times(self, cells: int, times: int) -> None:
+        """advance(cells) times over, in one advance up to each tick."""
+        while times:
+            steps = min(times, -(-(self._next - self.scanned) // cells))
+            times -= steps
+            self.advance(steps * cells)
+
 
 def _hunt_order(item: tuple[Solution, GainReport]):
     s, g = item
@@ -254,33 +261,36 @@ def _window_cells(b: SearchBox, progress: _Progress):
             for B in range(b_lo, b_hi + 1):
                 # y0 is the least y >= y_lo with B*y0^n >= A*x^n + k_lo, carried
                 # from x to x; 0 until the row's first x takes the root.  Once
-                # y0 has passed y_hi no later x has a candidate.
+                # y0 has passed y_hi no later x has a candidate, and the rest
+                # of the row's cells are counted at once.
                 y0 = byn = 0
                 for x in range(x_lo, x_hi + 1):
-                    if y0 <= y_hi:
-                        axn = A * x ** n
-                        least = axn + k_lo
-                        # No y exists unless B divides A*x^n + k for some k in
-                        # the window.
-                        if -least % B <= k_hi - k_lo:
-                            # Walk y0 up from the last x's, or take the root.
-                            steps = _WALK_STEPS if y0 else 0
-                            while byn < least and steps:
-                                y0 += 1
-                                byn = B * y0 ** n
-                                steps -= 1
-                            if byn < least:
-                                y0 = max(nth_root_floor((least - 1) // B, n) + 1, y_lo)
-                                byn = B * y0 ** n
-                            # y steps up from y0 while k <= k_hi.
-                            ax = A * x
-                            y = y0
-                            k = byn - axn
-                            while y <= y_hi and k <= k_hi:
-                                if gcd(ax, B * y, k) == 1:
-                                    yield n, x, y, A, B, k
-                                y += 1
-                                k = B * y ** n - axn
+                    if y0 > y_hi:
+                        progress.advance_times(per_x, x_hi - x + 1)
+                        break
+                    axn = A * x ** n
+                    least = axn + k_lo
+                    # No y exists unless B divides A*x^n + k for some k in the
+                    # window.
+                    if -least % B <= k_hi - k_lo:
+                        # Walk y0 up from the last x's, or take the root.
+                        steps = _WALK_STEPS if y0 else 0
+                        while byn < least and steps:
+                            y0 += 1
+                            byn = B * y0 ** n
+                            steps -= 1
+                        if byn < least:
+                            y0 = max(nth_root_floor((least - 1) // B, n) + 1, y_lo)
+                            byn = B * y0 ** n
+                        # y steps up from y0 while k <= k_hi.
+                        ax = A * x
+                        y = y0
+                        k = byn - axn
+                        while y <= y_hi and k <= k_hi:
+                            if gcd(ax, B * y, k) == 1:
+                                yield n, x, y, A, B, k
+                            y += 1
+                            k = B * y ** n - axn
                     progress.advance(per_x)
 
 

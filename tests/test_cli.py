@@ -276,6 +276,14 @@ class TestAnalyzeFailures:
         doc = json.loads(out)
         assert any(v["kind"] == "range-violation" for v in doc["violations"])
 
+    def test_negative_parameter_is_an_error_not_a_report(self, capsys):
+        args = ["analyze", "--n", "2", "--x", "-3", "--y", "2",
+                "--A", "1", "--B", "1", "--k", "1"]
+        code, out, err = run_cli(capsys, args)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "error: x must be nonnegative, got -3\n"
+
     def test_budget_exhaustion_exit(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "10")
         code, out, err = run_cli(capsys, HARD_ARGS + ["--format", "json"])

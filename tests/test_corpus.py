@@ -14,6 +14,7 @@ from gainlab.corpus import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
+    CorpusEntry,
     builtin_corpus,
     verify_entry,
 )
@@ -123,6 +124,27 @@ class TestVerifyEntry:
         r = verify_entry(e)
         assert r.consistency["printed_k"] == NOT_APPLICABLE
         assert r.all_consistency_pass
+
+    def test_negative_derived_k_fails_every_verdict(self):
+        # 2^2 - 3^2 = -5: no solution, so nothing is computed.
+        e = CorpusEntry(
+            name="negative", n=2, x=3, y=2, A=1, B=1, k_printed=None,
+            expected={
+                "q": (Decimal(1), Decimal("1e-3")),
+                "radical_P": (Decimal(6), Decimal(0)),
+                "limit_ratio": (Decimal(1), Decimal(1)),
+            },
+        )
+        assert e.k_derived == -5
+        r = verify_entry(e)
+        assert r.consistency == {
+            "identity": FAIL,
+            "printed_k": NOT_APPLICABLE,
+            "coprimality": NOT_APPLICABLE,
+        }
+        assert {name: (v.actual, v.passed) for name, v in r.quantities.items()} == {
+            "q": (None, False), "radical_P": (None, False), "limit_ratio": (None, False),
+        }
 
     def test_every_quantity_name_reads_its_report_field(self):
         # q_min is accepted though no shipped entry uses it.

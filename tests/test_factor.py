@@ -360,3 +360,50 @@ class TestBudget:
         # Nothing is memoized: a zero budget fails whatever was factored before.
         with pytest.raises(FactorBudgetExceeded):
             factorize(HARD_P * HARD_Q, budget=0)
+
+
+class TestSharedBudget:
+    """One factorize_product call spends one budget across its components."""
+
+    # 10007 * 10037: both primes lie just above the trial division limit,
+    # so splitting it takes rho.
+    HARD_K = 10007 * 10037
+
+    def least_budget(self) -> int:
+        lo, hi = 0, 10 ** 6
+        assert factorize(self.HARD_K, budget=hi).complete
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                factorize(self.HARD_K, budget=mid)
+            except FactorBudgetExceeded:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def test_components_share_the_budget(self):
+        m = self.least_budget()
+        assert m > 0
+        with pytest.raises(FactorBudgetExceeded) as exc:
+            factorize_product((self.HARD_K, self.HARD_K), budget=m)
+        # The component that ran out, with its own partial and cofactor.
+        assert exc.value.value == self.HARD_K
+        assert exc.value.partial == Factorization((), False)
+        assert exc.value.cofactor == self.HARD_K
+        f = factorize_product((self.HARD_K, self.HARD_K), budget=2 * m)
+        assert f == Factorization(((10007, 2), (10037, 2)), True)
+
+    def test_radical_of_product_shares_it_too(self):
+        m = self.least_budget()
+        with pytest.raises(FactorBudgetExceeded):
+            radical_of_product((self.HARD_K, 3, self.HARD_K), budget=m)
+        assert radical_of_product((self.HARD_K, 3, self.HARD_K), budget=2 * m) == 3 * self.HARD_K
+
+    def test_setting_is_read_once_per_call(self, monkeypatch):
+        m = self.least_budget()
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(m))
+        with pytest.raises(FactorBudgetExceeded):
+            factorize_product((self.HARD_K, self.HARD_K))
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(2 * m))
+        assert factorize_product((self.HARD_K, self.HARD_K)).complete

@@ -818,3 +818,32 @@ class TestProgress:
     def test_no_progress_on_small_box(self, capsys):
         enumerate_fixed_k(spec_fixed_box())
         assert "progress" not in capsys.readouterr().err
+
+
+class TestExhaustedRows:
+    """Once a row's least y has passed y_hi, the rest of the row is counted at once."""
+
+    def progress_steps(self, monkeypatch, run, box) -> list[int]:
+        steps = []
+        advance = search._Progress.advance
+
+        def counted(progress, cells):
+            steps.append(cells)
+            advance(progress, cells)
+
+        monkeypatch.setattr(search._Progress, "advance", counted)
+        result = run(box)
+        assert result.cells_scanned == cell_count(box) == sum(steps)
+        return steps
+
+    def test_fixed_k_row_ends_at_once(self, monkeypatch):
+        # No candidate past x = 3: y0 then exceeds y_hi for 999,996 more x.
+        box = fixed_box((2, 2), (2, 10 ** 6), (2, 3), (1, 1), (1, 1), (1, 1))
+        assert len(self.progress_steps(monkeypatch, enumerate_fixed_k, box)) <= 4
+
+    def test_hunt_row_ends_at_once(self, monkeypatch, capsys):
+        box = derived_box((2, 2), (2, 10 ** 6), (2, 3), (1, 1), (1, 1))
+        assert len(self.progress_steps(monkeypatch, hunt_derived_k, box)) <= 4
+        # Two cells per x: the tick falls where the per-x walk puts it.
+        err = capsys.readouterr().err
+        assert re.findall(r"progress: (\d+)/", err) == ["1000000"]
