@@ -9,13 +9,13 @@ dimensionless measures:
 
 plus the bounds, all from one term evaluated at 64 digits:
 
-    D = n + 2 + (n-1) ln(AB) / ln(B*y^n)
+    D = n + 2 + (n-1) ln(AB) / ln C,   C = B*y^n
     ga_min = q_min = n/D                          floor on G_a, hence on q
     gp_max = q_max * D/n                          cap on G_p when q < q_max
 
 at quality caps 2 (strong), 1.5 (ultra) or a custom one, and the q > n/2
 bound for the k = 1, A = B = 1 case.  q_min is ga_min because
-q = G_a * G_p and G_p >= 1.
+q = G_a * G_p and G_p >= 1.  G_a, q and D share one ln C per key.
 
 quality_below screens a tuple against a quality threshold in floats,
 with a proven margin, before any 64-digit log is taken.
@@ -29,7 +29,7 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 
-from .bigmath import CTX, LN_PRECISION, int_text, ln_big, ln_exact, ln_product
+from .bigmath import CTX, LN_PRECISION, int_text, ln_exact, ln_product
 from .factor import Factorization, factorize_product
 
 NON_TRIVIAL = "non_trivial"
@@ -170,6 +170,11 @@ class GainReport:
     triviality: str
 
 
+def _require_int(name: str, v) -> None:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
+
+
 def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> ValidationReport:
     """Check every solution invariant; an empty report means valid.
 
@@ -182,8 +187,7 @@ def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Validation
     for name, v, least in (
         ("n", n, 2), ("x", x, 1), ("y", y, 2), ("A", A, 1), ("B", B, 1), ("k", k, 1),
     ):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
+        _require_int(name, v)
         if v < 0:
             raise ValueError(f"{name} must be nonnegative, got {int_text(v)}")
         if v < least:
@@ -221,21 +225,14 @@ def validate_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Solutio
     return Solution(n=n, x=x, y=y, A=A, B=B, k=k)
 
 
-def _require_bound_params(n: int, A: int, B: int, y: int) -> None:
-    if n < 2:
-        raise ValueError("bound formulas require n >= 2")
-    if y < 2:
-        raise ValueError("bound formulas require y >= 2")
-    if A < 1 or B < 1:
-        raise ValueError("bound formulas require A >= 1 and B >= 1")
-
-
-def _bound_denominator(n: int, A: int, B: int, y: int) -> Decimal:
-    """D = n + 2 + (n-1) ln(AB) / ln(B y^n); exactly n + 2 when A = B = 1."""
-    _require_bound_params(n, A, B, y)
-    with localcontext(CTX):
-        ln_byn = Decimal(n) * ln_big(y).value + ln_big(B).value
-        return Decimal(n + 2) + (Decimal(n - 1) * ln_big(A * B).value) / ln_byn
+def _bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
+    """_fixed_cap_bounds(n, A, B, y) for checked parameters."""
+    # Checked before the memo lookup, where 2.0 and True find the keys 2 and 1.
+    for name, v, least in (("n", n, 2), ("A", A, 1), ("B", B, 1), ("y", y, 2)):
+        _require_int(name, v)
+        if v < least:
+            raise ValueError(f"bound formulas require {name} >= {least}")
+    return _fixed_cap_bounds(n, A, B, y)
 
 
 def _gp_cap(n: int, d: Decimal, q_max: QMax) -> Decimal:
@@ -245,12 +242,12 @@ def _gp_cap(n: int, d: Decimal, q_max: QMax) -> Decimal:
 
 def ga_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
     """Structural lower bound n/D on G_a; n/(n+2) exactly for A = B = 1."""
-    return _fixed_cap_bounds(n, A, B, y)[1]
+    return _bounds(n, A, B, y)[2]
 
 
 def gp_upper_bound(n: int, A: int, B: int, y: int, q_max) -> Decimal:
     """Upper bound q_max*D/n = q_max / ga_lower_bound on G_p under q < q_max."""
-    return _gp_cap(n, _fixed_cap_bounds(n, A, B, y)[0], _as_qmax(q_max))
+    return _gp_cap(n, _bounds(n, A, B, y)[1], _as_qmax(q_max))
 
 
 def q_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
@@ -291,10 +288,12 @@ BOUND_FIELDS = (
 
 @lru_cache(maxsize=None)
 def _fixed_cap_bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
-    """(D, ga_min, gp_max_strong, gp_max_ultra, k1_q_bound), D taken once."""
-    d = _bound_denominator(n, A, B, y)
+    """(ln C, D, ga_min, gp_max_strong, gp_max_ultra, k1_q_bound), C = B*y^n."""
+    ln_c = ln_product(((B, 1), (y, n)))
+    with localcontext(CTX):
+        d = Decimal(n + 2) + (Decimal(n - 1) * ln_product(((A * B, 1),))) / ln_c
     strong, ultra = (_gp_cap(n, d, cap) for cap in (QMAX_STRONG, QMAX_ULTRA))
-    return d, CTX.divide(Decimal(n), d), strong, ultra, k1_quality_bound(n)
+    return ln_c, d, CTX.divide(Decimal(n), d), strong, ultra, k1_quality_bound(n)
 
 
 def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> dict:
@@ -303,7 +302,7 @@ def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> d
     q_min is ga_min (see q_lower_bound); gp_max_custom is None when no cap
     is given.  D and the fixed-cap fields are memoized per (n, A, B, y).
     """
-    d, ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
+    _, d, ga_min, strong, ultra, k1 = _bounds(n, A, B, y)
     custom = None if q_max is None else _gp_cap(n, d, q_max)
     return dict(zip(BOUND_FIELDS, (ga_min, ga_min, strong, ultra, custom, k1)))
 
@@ -315,7 +314,7 @@ def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | Non
         # Unreachable for a valid Solution (y >= 2), but the ratio would be
         # 0/0 and must never be silently produced.
         raise ValueError("degenerate denominator: x*y*A*B*k = 1")
-    ln_c = ln_product(((s.B, 1), (s.y, s.n)))
+    ln_c = _fixed_cap_bounds(s.n, s.A, s.B, s.y)[0]
     if f is None:
         R = g_p = q = None
         ln_p = ln_exact(P)
@@ -352,9 +351,9 @@ def compute_gains(
     G_a, G_p and q are computed independently from the three logarithms, so
     the q = G_a*G_p identity stays a genuine cross-check downstream.
     ln P and ln R are sums of cached prime logs, held as integers at scale
-    10**80 with proven error bounds, and ln C = ln B + n*ln y (see
-    bigmath.ln_product), so each costs a few integer additions and one
-    integer rounding test per solution.
+    10**80 with proven error bounds (see bigmath.ln_product), so each costs
+    a few integer additions and one integer rounding test per solution;
+    ln C = ln B + n*ln y is taken so once per key and shared with D.
     A caller that has already factored the tuple passes
     factorization = factorize_product((x, y, A, B, k)) and gets the same
     report.  Otherwise x, y, A, B and k are factored one at a time within

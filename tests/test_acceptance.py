@@ -18,6 +18,7 @@ from gainlab.corpus import FAIL, PASS, builtin_corpus, verify_entry
 from gainlab.factor import clear_cache
 from gainlab.gains import (
     Solution,
+    _fixed_cap_bounds,
     compute_gains,
     ga_lower_bound,
     gp_upper_bound,
@@ -50,6 +51,7 @@ def _close(actual: Decimal, expected: str, tol: str) -> bool:
 def _cold_start() -> None:
     clear_cache()
     clear_ln_cache()
+    _fixed_cap_bounds.cache_clear()
 
 
 def test_criterion_1_quintic_case_gains():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -467,6 +468,17 @@ class TestBounds:
         assert doc["bounds"]["ga_min"] == "0.479019"
         assert doc["bounds"]["gp_max_strong"] == "4.17520"
         assert doc["bounds"]["gp_max_ultra"] == "3.13140"
+
+    def test_huge_exponent_builds_no_power_of_y(self, capsys):
+        # D's ln(B*y^n) is n*ln y + ln B from cached logs: 5**(10**50)
+        # could never be built.
+        start = time.perf_counter()
+        code, doc, _ = run_json(
+            capsys, ["bounds", "--n", str(10 ** 50), "--A", "2", "--B", "3", "--y", "5"]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert doc["params"]["n"] == str(10 ** 50)
 
     def test_cap_too_small_for_any_exponent(self, capsys):
         _, doc, _ = run_json(

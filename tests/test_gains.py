@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gainlab import gains
-from gainlab.bigmath import CTX, ipow
+from gainlab.bigmath import CTX, ipow, ln_exact, ln_product
 from gainlab.gains import (
     COPRIMALITY_VIOLATION,
     IDENTITY_VIOLATION,
@@ -224,6 +224,14 @@ class TestComputeGains:
             compute_gains(s)
 
 
+@pytest.fixture
+def counted_logs(monkeypatch):
+    """The terms of every ln_product call gains makes."""
+    calls = []
+    monkeypatch.setattr(gains, "ln_product", lambda terms: calls.append(terms) or ln_product(terms))
+    return calls
+
+
 class TestBoundFormulas:
     def test_deweger_ga_min(self):
         assert close(ga_lower_bound(3, 3087, 23, 128), DEWEGER_GA_MIN)
@@ -313,20 +321,32 @@ class TestBoundFormulas:
         with pytest.raises(ValueError):
             gp_upper_bound(2, 1, 0, 2, QMAX_STRONG)
 
-    def test_d_is_taken_once_per_key(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "bound",
+        [ga_lower_bound, q_lower_bound, gains.bound_fields,
+         lambda *key: gp_upper_bound(*key, QMAX_STRONG)],
+        ids=["ga_lower", "q_lower", "bound_fields", "gp_upper"],
+    )
+    def test_parameters_are_checked_before_the_memo(self, bound):
+        # A float or bool equal to a valid key is rejected in a fresh
+        # process and after that key is memoized alike: the result must
+        # not depend on call history.
+        gains._fixed_cap_bounds.cache_clear()
+        for _ in ("fresh", "warm"):
+            for key in ((2, 1, 1, 2.0), (2.0, 1, 1, 2), (2, True, 1, 2), (2.5, 1, 1, 2)):
+                with pytest.raises(TypeError):
+                    bound(*key)
+            bound(2, 1, 1, 2)
+
+    def test_d_is_taken_once_per_key(self, counted_logs):
         # bound_fields with a custom cap and the public bounds all read one
         # evaluation of D for (n, A, B, y), and keep the values n/D and
         # q_max*D/n.
-        taken = []
-        denominator = gains._bound_denominator
-        monkeypatch.setattr(
-            gains, "_bound_denominator", lambda *key: taken.append(key) or denominator(*key)
-        )
         gains._fixed_cap_bounds.cache_clear()
         key, cap = (4, 7, 5, 1234), custom_qmax("1.25")
         fields = gains.bound_fields(*key, cap)
-        d = denominator(*key)
         with localcontext(CTX):
+            d = 6 + 3 * ln_product(((35, 1),)) / ln_product(((5, 1), (1234, 4)))
             assert fields["ga_min"] == fields["q_min"] == Decimal(4) / d
             assert fields["gp_max_strong"] == 2 * d / 4
             assert fields["gp_max_ultra"] == Decimal("1.5") * d / 4
@@ -334,7 +354,22 @@ class TestBoundFormulas:
         assert ga_lower_bound(*key) == q_lower_bound(*key) == fields["ga_min"]
         assert gp_upper_bound(*key, QMAX_ULTRA) == fields["gp_max_ultra"]
         assert gp_upper_bound(*key, cap) == fields["gp_max_custom"]
-        assert taken == [key]
+        assert counted_logs == [((5, 1), (1234, 4)), ((35, 1),)]
+
+    def test_reports_and_bounds_share_one_ln_c(self, counted_logs):
+        # analyze --n 2 --x 157 --y 91 --A 1 --B 3 --k 194: G_a and
+        # ga_min = 2/D read the one correctly rounded ln(3*91^2) that both
+        # reports on this key share.
+        gains._fixed_cap_bounds.cache_clear()
+        s = validate_solution(2, 157, 91, 1, 3, 194)
+        full, partial = compute_gains(s), compute_gains_partial(s)
+        ln_c = ln_product(((3, 1), (91, 2)))
+        with localcontext(CTX):
+            d = 4 + ln_product(((3, 1),)) / ln_c
+            assert full.G_a == partial.G_a == ln_c / ln_exact(157 * 91 * 3 * 194)
+            assert full.ga_min == partial.ga_min == 2 / d
+        assert str(full.ga_min).endswith("810346")
+        assert counted_logs.count(((3, 1), (91, 2))) == 1
 
 
 class TestUnitCaseBound:
