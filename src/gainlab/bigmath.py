@@ -68,15 +68,19 @@ def int_text(v: int) -> str:
         return f"{'-' if v < 0 else ''}<{v.bit_length()}-bit integer>"
 
 
+def require_int(name: str, v) -> None:
+    """Raise TypeError unless v is an int; a bool is not one."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
+
+
 def ipow(base: int, exp: int) -> int:
     """Exact base**exp for nonnegative integer base and exponent.
 
     0**0 is rejected as undefined input.
     """
-    if not isinstance(base, int) or isinstance(base, bool):
-        raise TypeError("ipow expects an integer base")
-    if not isinstance(exp, int) or isinstance(exp, bool):
-        raise TypeError("ipow expects an integer exponent")
+    require_int("base", base)
+    require_int("exp", exp)
     if base < 0:
         raise ValueError("ipow expects a nonnegative base")
     if exp < 0:
@@ -92,10 +96,8 @@ def nth_root_floor(v: int, n: int) -> int:
     Floating point is never consulted; the seed comes from the bit length
     and integer Newton iteration finishes on the exact floor condition.
     """
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError("nth_root_floor expects an integer")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("nth_root_floor expects an integer root index")
+    require_int("v", v)
+    require_int("n", n)
     if n < 1:
         raise ValueError("root index must be >= 1")
     if v < 0:
@@ -132,8 +134,7 @@ def ln_cached(v: int) -> tuple[int, int]:
     cached = _ln_cache.get(v)
     if cached is not None:
         return cached
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError("ln expects an integer")
+    require_int("v", v)
     if v < 1:
         raise ValueError("ln is defined here for integers >= 1 only")
     return _ln_fill(v)
@@ -254,8 +255,7 @@ def ln_product(terms) -> Decimal:
 def ln_big(v: int) -> BigLog:
     """Natural log of a positive integer at full working precision."""
     # Checked before ln_cached's lookup, where 2.0 and True find 2 and 1.
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError("ln expects an integer")
+    require_int("v", v)
     return BigLog(value=ln_product(((v, 1),)), precision_digits=LN_PRECISION)
 
 

@@ -11,14 +11,19 @@ serialize as exact decimal strings and every real as a
 (cells_scanned, max_admissible_exponent_*) are JSON numbers, exact at any
 size: --qmax 9.99e63 gives a 65-digit one.
 
-Exit codes: 0 success, 1 invalid solution, 2 usage error, 3 resource
-limits (factorization budget, box ceiling).
+Commands write their report or raise; main alone maps a failure to its
+exit code: 0 success, 1 invalid solution, 2 usage error, 3 resource
+limits (factorization budget, box ceiling, a stdout that cannot be
+written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
@@ -271,23 +276,11 @@ def solution_report(s: Solution, g: GainReport) -> tuple:
     )
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
-    try:
-        s = validate_solution(args.n, args.x, args.y, args.A, args.B, args.k)
-    except SolutionError as err:
-        _emit_validation_failure(err, args.output_format)
-        return EXIT_INVALID
-    except (TypeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        g = compute_gains(s, q_max_custom=args.qmax)
-    except FactorBudgetExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RESOURCE
+def _run_analyze(args: argparse.Namespace) -> None:
+    s = validate_solution(args.n, args.x, args.y, args.A, args.B, args.k)
+    g = compute_gains(s, q_max_custom=args.qmax)
     layout = _ANALYZE_LAYOUTS[g.gp_max_custom is not None]
     layout.print_document(args.output_format, solution_report(s, g))
-    return EXIT_OK
 
 
 def _emit_validation_failure(err: SolutionError, fmt: str) -> None:
@@ -324,13 +317,9 @@ def _admissible(cap: QMax) -> int | None:
         return None
 
 
-def _run_bounds(args: argparse.Namespace) -> int:
+def _run_bounds(args: argparse.Namespace) -> None:
     n, A, B, y, cap = args.n, args.A, args.B, args.y, args.qmax
-    try:
-        fields = bound_fields(n, A, B, y, cap)
-    except (TypeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    fields = bound_fields(n, A, B, y, cap)
     caps = {"strong": QMAX_STRONG, "ultra": QMAX_ULTRA}
     if cap is not None:
         caps["custom"] = cap
@@ -345,10 +334,9 @@ def _run_bounds(args: argparse.Namespace) -> int:
         *map(_admissible, caps.values()),
     )
     _Layout(sections, 0, _block_lines(sections)).print_document(args.output_format, row)
-    return EXIT_OK
 
 
-def _run_box(args: argparse.Namespace) -> int:
+def _run_box(args: argparse.Namespace) -> None:
     box = SearchBox(
         n_range=args.n_range,
         x_range=args.x_range,
@@ -361,14 +349,7 @@ def _run_box(args: argparse.Namespace) -> int:
         require_nontrivial=not args.allow_trivial_x,
     )
     runner = enumerate_fixed_k if args.mode == FIXED_K else hunt_derived_k
-    try:
-        result: SearchResult = runner(box)
-    except BoxTooLarge as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (TypeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    result: SearchResult = runner(box)
     # Each row is rendered and written as it is built; no document is held.
     fmt, write, render = args.output_format, sys.stdout.write, _SEARCH_LAYOUT.render
     solutions, cells = result.solutions, result.cells_scanned
@@ -391,21 +372,16 @@ def _run_box(args: argparse.Namespace) -> int:
         f"{len(result.solutions)} solutions",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
 # A corpus verdict row is (quantity, *_VERDICT_KEYS), formatted once.
 _VERDICT_KEYS = ("expected", "tolerance", "actual", "pass")
 
 
-def _run_verify_corpus(args: argparse.Namespace) -> int:
+def _run_verify_corpus(args: argparse.Namespace) -> None:
     entries = []
     for entry in builtin_corpus():
-        try:
-            report = verify_entry(entry)
-        except FactorBudgetExceeded as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_RESOURCE
+        report = verify_entry(entry)
         rows = [
             (qty, str(v.expected), str(v.tolerance),
              str(v.actual) if isinstance(v.actual, int) else _display(v.actual), v.passed)
@@ -444,7 +420,6 @@ def _run_verify_corpus(args: argparse.Namespace) -> int:
                     f"  actual {_csv_cell(actual)}  {'pass' if passed else 'FAIL'}"
                 )
             print()
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -457,24 +432,46 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # Terms are exact at any size, so the interpreter's int-to-str digit
-    # limit is lifted for this call and restored on return.
+    # The one place where a failure becomes an exit code.  Terms are exact
+    # at any size, so the int-to-str digit limit is lifted for this call,
+    # and every document and error line is written before it is restored.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    command = None
     try:
-        args = parse_args(argv)
-        # A bad budget setting is a usage error for every command, not only
-        # for those that happen to reach rho.
         try:
+            args = parse_args(argv)
+            # A bad budget setting is a usage error for every command, not
+            # only for those that happen to reach rho.
             resolve_budget()
-        except ValueError as err:
+            command = args.command
+            _COMMANDS[command](args)
+            code = EXIT_OK
+        except SystemExit as exit_:
+            # argparse exits 2 on usage errors and 0 for --help.
+            code = exit_.code if isinstance(exit_.code, int) else EXIT_USAGE
+        except SolutionError as err:
+            _emit_validation_failure(err, args.output_format)
+            code = EXIT_INVALID
+        except (FactorBudgetExceeded, BoxTooLarge) as err:
             print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
-        return _COMMANDS[args.command](args)
-    except SystemExit as exit_:
-        # argparse exits 2 on usage errors and 0 for --help.
-        code = exit_.code
-        return code if isinstance(code, int) else EXIT_USAGE
+            code = EXIT_RESOURCE
+        except ValueError as err:
+            # A negative parameter makes an invalid tuple; any other bad
+            # value is a usage error.
+            print(f"error: {err}", file=sys.stderr)
+            code = EXIT_INVALID if command == "analyze" else EXIT_USAGE
+        # A full disk must fail here, not at the interpreter's last flush.
+        sys.stdout.flush()
+        return code
+    except OSError as err:
+        # stdout cannot be written.  fd 1 is pointed at os.devnull so that
+        # the last flush succeeds; an in-memory stdout has no fd to point.
+        print(f"error: {err}", file=sys.stderr)
+        with contextlib.suppress(io.UnsupportedOperation):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_RESOURCE
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .bigmath import int_text, nth_root_floor
+from .bigmath import int_text, nth_root_floor, require_int
 
 DEFAULT_FACTOR_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "GAINLAB_FACTOR_BUDGET"
@@ -154,8 +154,7 @@ def is_prime(n: int) -> bool:
     2**64 takes at most nine), twelve below 3.2e23.  Above psi_13 the
     43-base test is a probable-prime test, not a proof.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("is_prime expects an integer")
+    require_int("n", n)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -288,8 +287,7 @@ def factorize(v: int, budget: int | None = None) -> Factorization:
 
 def _factorize(v: int, tracker: _Budget) -> Factorization:
     """factorize(v), spending rho iterations from tracker."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError("factorize expects an integer")
+    require_int("v", v)
     if v < 1:
         raise ValueError("factorize expects an integer >= 1")
     counts: dict[int, int] = {}

@@ -29,7 +29,7 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 
-from .bigmath import CTX, LN_PRECISION, int_text, ln_exact, ln_product
+from .bigmath import CTX, LN_PRECISION, int_text, ln_exact, ln_product, require_int
 from .factor import Factorization, factorize_product
 
 NON_TRIVIAL = "non_trivial"
@@ -40,6 +40,9 @@ IDENTITY_VIOLATION = "identity-violation"
 COPRIMALITY_VIOLATION = "coprimality-violation"
 
 _TWO = Decimal(2)
+
+# The least value of each solution parameter, in the order they are checked.
+PARAM_FLOORS = {"n": 2, "x": 1, "y": 2, "A": 1, "B": 1, "k": 1}
 
 # Quality caps lie in [low, high).  Every value derived from a cap (the G_p
 # caps, the largest admissible exponent) then prints in under a hundred
@@ -170,11 +173,6 @@ class GainReport:
     triviality: str
 
 
-def _require_int(name: str, v) -> None:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
-
-
 def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> ValidationReport:
     """Check every solution invariant; an empty report means valid.
 
@@ -184,10 +182,8 @@ def check_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Validation
     ValueError, the first such parameter in (n, x, y, A, B, k) order.
     """
     violations: list[Violation] = []
-    for name, v, least in (
-        ("n", n, 2), ("x", x, 1), ("y", y, 2), ("A", A, 1), ("B", B, 1), ("k", k, 1),
-    ):
-        _require_int(name, v)
+    for (name, least), v in zip(PARAM_FLOORS.items(), (n, x, y, A, B, k)):
+        require_int(name, v)
         if v < 0:
             raise ValueError(f"{name} must be nonnegative, got {int_text(v)}")
         if v < least:
@@ -228,8 +224,9 @@ def validate_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Solutio
 def _bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
     """_fixed_cap_bounds(n, A, B, y) for checked parameters."""
     # Checked before the memo lookup, where 2.0 and True find the keys 2 and 1.
-    for name, v, least in (("n", n, 2), ("A", A, 1), ("B", B, 1), ("y", y, 2)):
-        _require_int(name, v)
+    for name, v in (("n", n), ("A", A), ("B", B), ("y", y)):
+        require_int(name, v)
+        least = PARAM_FLOORS[name]
         if v < least:
             raise ValueError(f"bound formulas require {name} >= {least}")
     return _fixed_cap_bounds(n, A, B, y)

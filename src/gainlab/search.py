@@ -26,6 +26,7 @@ from time import perf_counter
 from .bigmath import int_text, nth_root_floor
 from .factor import FactorBudgetExceeded, factorize_product
 from .gains import (
+    PARAM_FLOORS,
     GainReport,
     Solution,
     compute_gains,
@@ -43,8 +44,6 @@ PROGRESS_INTERVAL = 10 ** 6
 # Steps the fixed-k scan walks its least y up from one x to the next before
 # it takes an exact root instead.
 _WALK_STEPS = 4
-
-_AXES = ("n", "x", "y", "A", "B", "k")
 
 
 class BoxTooLarge(ValueError):
@@ -110,15 +109,14 @@ def _normalized(box: SearchBox, expected_mode: str) -> SearchBox:
     """Validate the box and apply the non-triviality floor to x."""
     if box.mode != expected_mode:
         raise ValueError(f"box mode is {box.mode!r}, expected {expected_mode!r}")
-    _check_range("n_range", box.n_range, 2)
-    _check_range("x_range", box.x_range, 1)
-    _check_range("y_range", box.y_range, 2)
-    _check_range("A_range", box.A_range, 1)
-    _check_range("B_range", box.B_range, 1)
-    if expected_mode == FIXED_K:
-        if box.k_range is None:
-            raise ValueError("fixed_k mode requires k_range")
-        _check_range("k_range", box.k_range, 1)
+    for axis, least in PARAM_FLOORS.items():
+        rng = getattr(box, f"{axis}_range")
+        if axis == "k":
+            if expected_mode != FIXED_K:
+                break
+            if rng is None:
+                raise ValueError("fixed_k mode requires k_range")
+        _check_range(f"{axis}_range", rng, least)
     return _floored(box)
 
 

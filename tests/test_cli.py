@@ -332,6 +332,31 @@ class TestPastTheIntToStrDigitLimit:
         assert terms["C"] == f"1{zeros}2{zeros}1"
         assert terms["radical_P"] is None
 
+    def test_invalid_solution_prints_the_exact_residual(self, capsys):
+        # The residual 150^2000 - 2^2000 - 1 has 4,353 digits, so the
+        # violation document must be written before the limit is restored.
+        limit = sys.get_int_max_str_digits()
+        code, doc, _ = run_json(
+            capsys,
+            ["analyze", "--n", "2000", "--x", "2", "--y", "150",
+             "--A", "1", "--B", "1", "--k", "1"],
+        )
+        assert code == EXIT_INVALID
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(150 ** 2000 - 2 ** 2000 - 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        [violation] = doc["violations"]
+        assert violation["residual"] == expected
+
+    def test_limit_restored_after_an_error_exit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, ["bounds", "--n", "1", "--A", "1", "--B", "1", "--y", "2"])
+        assert (code, out, err) == (EXIT_USAGE, "", "error: bound formulas require n >= 2\n")
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
@@ -663,3 +688,37 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["gains"]["G_p"] == "2.20920"
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot be written exits 3 with one error line."""
+
+    def test_closed_pipe(self):
+        # About 147 KB of csv, more than a pipe buffer holds, so the child
+        # is still writing when the read end is closed.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gainlab", "hunt", "--n", "2:3", "--x", "2:30",
+             "--y", "2:30", "--A", "1:2", "--B", "1:2", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"n,x,y,A,B,k,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_RESOURCE
+        assert "error: [Errno 32] Broken pipe" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gainlab"] + DEWEGER_ARGS,
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
