@@ -10,9 +10,10 @@ fixed_k takes the box's k window; derived_k (a hunt) takes every k from
 width of any axis.  A derived_k hunt with a quality threshold screens
 each factored tuple in floats first and builds 64-digit reports only for
 those not proven below it.  A deliberately dumb brute-force oracle backs
-both in tests.  Boxes split into disjoint sub-boxes whose merged results
-are identical to a single-box run, so parallel schedules cannot change
-output.
+both in tests: it loops over every (n, A, B, x, y), derives k, and
+refuses a box of more such cells than its ceiling.  Boxes split into
+disjoint sub-boxes whose merged results are identical to a single-box
+run, so parallel schedules cannot change output.
 """
 
 from __future__ import annotations
@@ -345,35 +346,31 @@ def hunt_derived_k(
 
 
 def _oracle_cells(b: SearchBox, progress: _Progress):
+    # Whatever the mode, the oracle visits every (n, A, B, x, y) cell.
+    visited = cell_count(replace(b, mode=DERIVED_K))
+    if visited > ORACLE_CELL_CEILING:
+        raise BoxTooLarge(visited, ORACLE_CELL_CEILING)
     n_lo, n_hi = b.n_range
     x_lo, x_hi = b.x_range
     y_lo, y_hi = b.y_range
     a_lo, a_hi = b.A_range
     b_lo, b_hi = b.B_range
+    # A hunt's k window holds every k >= 1 the box can reach: k < B_hi*y_hi^n_hi.
+    per_x = y_hi - y_lo + 1
     if b.mode == FIXED_K:
         k_lo, k_hi = b.k_range
-        for n in range(n_lo, n_hi + 1):
-            for A in range(a_lo, a_hi + 1):
-                for B in range(b_lo, b_hi + 1):
-                    for x in range(x_lo, x_hi + 1):
-                        for k in range(k_lo, k_hi + 1):
-                            progress.scanned += y_hi - y_lo + 1
-                            left = A * x ** n + k
-                            for y in range(y_lo, y_hi + 1):
-                                if B * y ** n == left and gcd(A * x, B * y, k) == 1:
-                                    yield n, x, y, A, B, k
+        per_x *= k_hi - k_lo + 1
     else:
-        for n in range(n_lo, n_hi + 1):
-            for A in range(a_lo, a_hi + 1):
-                for B in range(b_lo, b_hi + 1):
-                    for x in range(x_lo, x_hi + 1):
-                        for y in range(y_lo, y_hi + 1):
-                            progress.scanned += 1
-                            k = B * y ** n - A * x ** n
-                            if k < 1:
-                                continue
-                            if gcd(A * x, B * y, k) != 1:
-                                continue
+        k_lo, k_hi = 1, b_hi * y_hi ** n_hi
+    for n in range(n_lo, n_hi + 1):
+        for A in range(a_lo, a_hi + 1):
+            for B in range(b_lo, b_hi + 1):
+                for x in range(x_lo, x_hi + 1):
+                    progress.scanned += per_x
+                    axn = A * x ** n
+                    for y in range(y_lo, y_hi + 1):
+                        k = B * y ** n - axn
+                        if k_lo <= k <= k_hi and gcd(A * x, B * y, k) == 1:
                             yield n, x, y, A, B, k
 
 
@@ -381,11 +378,13 @@ def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchRe
     """Reference search: plain nested loops, exact checks, no shortcuts.
 
     Matches the mode-appropriate search's output contract exactly (same
-    filters, same ordering).  In fixed_k mode it loops over y as well
-    instead of deriving it, so cells_scanned counts its own six-axis scan.
+    filters, same ordering).  Both modes loop over every (n, A, B, x, y),
+    derive k = B*y^n - A*x^n and keep the coprime tuples whose k lies in
+    the mode's window: k_range for fixed_k, every k >= 1 for derived_k.
+    cells_scanned counts the y width per x, times the k width in fixed_k.
     It builds every report before applying a threshold (no float screen)
-    and prints no progress.  Only intended for tests; the cell ceiling is
-    a hard 10^7.
+    and prints no progress.  Only intended for tests: a box of more than
+    ORACLE_CELL_CEILING (10^7) (n, A, B, x, y) cells raises BoxTooLarge.
     """
     return _scan(box, box.mode, ORACLE_CELL_CEILING, budget, _oracle_cells)
 

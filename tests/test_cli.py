@@ -428,6 +428,20 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["bounds", "--n", "2", "--A", "1", "--B", "1", "--y", "2", "--qmax", "abc"],
+            ["hunt", "--n", "2", "--x", "2:3", "--y", "2:3", "--A", "1", "--B", "1",
+             "--q-threshold", "abc"],
+        ],
+    )
+    def test_non_numeric_number(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not a number: 'abc'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             DEWEGER_ARGS + ["--qmax", "1e999999"],
             ["bounds", "--n", "3", "--A", "1", "--B", "1", "--y", "2", "--qmax", "1e999999"],
             ["bounds", "--n", "3", "--A", "1", "--B", "1", "--y", "2", "--qmax", "1e64"],

@@ -329,6 +329,16 @@ class TestBudget:
         assert err.partial == Factorization(((2, 2),), False)
         assert err.cofactor == HARD_P * HARD_Q
 
+    def test_budget_runs_out_with_a_split_part_pending(self):
+        # The first rho call splits off 10000103 and the second, on
+        # 10000019 * 10000079, runs out: the pending part goes back into
+        # the cofactor.
+        v = 10000019 * 10000079 * 10000103
+        with pytest.raises(FactorBudgetExceeded) as exc:
+            factorize(v, budget=10_000)
+        assert exc.value.partial == Factorization((), False)
+        assert exc.value.cofactor == v
+
     def test_message_past_the_int_to_str_digit_limit(self):
         # v has 4,540 digits, past Python's default int-to-str limit of
         # 4,300: the message gives its bit length, the cofactor in full.

@@ -540,6 +540,31 @@ class TestCellCeilings:
         with pytest.raises(BoxTooLarge):
             brute_force_oracle(box)
 
+    def test_oracle_ceiling_bounds_the_cells_it_visits(self):
+        # Two (n, A, B, x, k) cells, but the oracle loops over every y as
+        # well: 2 * (10^9 - 1) cells, minutes of work unless refused at once.
+        box = fixed_box((2, 2), (2, 3), (2, 10 ** 9), (1, 1), (1, 1), (1, 1))
+        assert cell_count(box) == 2
+        # Box validation still comes first.
+        with pytest.raises(ValueError, match="^n_range lower bound 1 violates minimum 2$"):
+            brute_force_oracle(replace(box, n_range=(1, 2)))
+        script = (
+            "from time import perf_counter\n"
+            "from gainlab.search import BoxTooLarge, SearchBox, brute_force_oracle\n"
+            "t0 = perf_counter()\n"
+            "try:\n"
+            f"    brute_force_oracle({box!r})\n"
+            "except BoxTooLarge as err:\n"
+            "    print(err.cells, perf_counter() - t0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gainlab.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            check=True, timeout=30,
+        ).stdout.split()
+        assert int(out[0]) == 2 * (10 ** 9 - 1)
+        assert float(out[1]) < 1.0
+
     def test_default_ceiling(self):
         box = fixed_box((2, 2), (2, 2), (2, 2), (1, 1), (1, 1), (1, DEFAULT_CELL_CEILING + 1))
         with pytest.raises(BoxTooLarge):
