@@ -41,10 +41,11 @@ _RECURRENCE_LIMIT = 10 ** 8
 
 # Logs as (value, err) with |value - ln(key) * 10**LN_SCALE| <= err, keyed
 # by the integers they are logs of: the primes of factored values, the
-# primes their p - 1 recurrence reaches, and the small parameters (y, B,
-# A*B) of the bound formulas.  Logs of products are sums of these and are
-# never stored, so the cache grows with the distinct primes seen, not with
-# the solutions.  The fill is idempotent (pure function of the key).
+# small parameters (y, B, A*B) of the bound formulas, and the primes the
+# p - 1 recurrence reaches from either.  Logs of products are sums of
+# these and are never stored, so the cache grows with the distinct primes
+# seen, not with the solutions.  The fill is idempotent (pure function of
+# the key).
 _ln_cache: dict[int, tuple[int, int]] = {}
 
 
@@ -142,16 +143,14 @@ def ln_cached(v: int) -> tuple[int, int]:
 
 def _ln_fill(v: int) -> tuple[int, int]:
     """Compute, cache and return ln_cached(v) for an integer v >= 1."""
-    if v <= _RECURRENCE_LIMIT:
+    if v == 1:
+        result = (0, 0)
+    elif v <= _RECURRENCE_LIMIT:
         # factor imports this module, so it is imported on first use.
         from .factor import factorize
 
-        factors = factorize(v).factors
-        if factors == ((v, 1),):
-            value, err = _ln_sum(factorize(v - 1).factors)
-            result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
-        else:
-            result = _ln_sum(factors)
+        value, err = _ln_sum(factorize(v - 1).factors)
+        result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
     else:
         # Decimal converts any int exactly and ln() is correctly rounded;
         # ln(v) < v.bit_length(), so the result has _LEAF_GUARD digits
@@ -198,8 +197,9 @@ def ln_product(terms) -> Decimal:
     """ln(prod b**e) correctly rounded to LN_PRECISION digits.
 
     terms is a sequence of (b, e) with integers b >= 1 and e >= 0, typically
-    a prime factorization.  The sum of e*ln(b) over the cached logs is
-    returned only when a rounding test proves it equal to the correctly
+    a prime factorization.  It is _ln_sum, the sum of e*ln(b) over the
+    cached logs with its error bound, and then _ln_rounded, a rounding
+    test that returns the sum only when it proves it equal to the correctly
     rounded log; otherwise the log is taken directly (ln_exact).
 
     Error bounds, in units of 10**-LN_SCALE (S = 10**LN_SCALE).  Each
@@ -215,16 +215,16 @@ def ln_product(terms) -> Decimal:
       half a unit: under 0.68 in all.  A key above _RECURRENCE_LIMIT takes
       Decimal.ln at a precision that leaves _LEAF_GUARD digits below S
       (error 5e-4), rounded to an integer (error 1/2).
-    - A composite key is the sum of e*(v, d) over its factorization, so its
-      bound is the sum of e*d.
-    - An odd prime p <= _RECURRENCE_LIMIT is ln(p - 1) + 2*atanh(1/(2p-1)),
-      exact as p/(p-1) = (1 + 1/m)/(1 - 1/m); its bound is the sum of e*d
-      over the factorization of p - 1 plus _LEAF_ERR.  ln 2 is the case
-      p = 2, with ln 1 = 0.  The error so grows by one unit per atanh in
-      the tree of p - 1 factorizations below p, weighted by the exponents;
-      by induction every bound d is at most its key (e*q summed over a
-      factorization is at most the product of the q**e).  Each p - 1 is
-      below 10**8, which factorize splits by trial division alone.
+    - A key 2 <= p <= _RECURRENCE_LIMIT is ln(p - 1) + 2*atanh(1/(2p-1)),
+      exact for every integer p, prime or not, as p/(p-1) = (1 + 1/m)/
+      (1 - 1/m), so no primality test is taken; its bound is the sum of
+      e*d over the factorization of p - 1 plus _LEAF_ERR.  ln 2 is the
+      case p = 2, with ln 1 = 0 exactly.  The error so grows by one unit
+      per atanh in the tree of p - 1 factorizations below p, weighted by
+      the exponents; by induction every bound d is at most its key (e*q
+      summed over a factorization is at most the product of the q**e).
+      Each p - 1 is below 10**8, which factorize splits by trial division
+      alone.
 
     Here the integer sums V = sum e*v and E = sum e*d give
     |V - S*L| <= E for L = ln(prod b**e).  A term with b >= 2 and e >= 1
@@ -238,8 +238,20 @@ def ln_product(terms) -> Decimal:
     fails only when a rounding boundary lies within E of V, about 2E/unit
     of the time: unit is at least 10**16, and E is a few hundred units for
     a search's logs.
+
+    ln_power_and_radical takes the sums of a factorization and of its
+    radical in one loop and ends each in the same _ln_rounded test.
     """
-    value, err = _ln_sum(terms)
+    result = _ln_rounded(*_ln_sum(terms))
+    return ln_exact(math.prod(b ** e for b, e in terms)) if result is None else result
+
+
+def _ln_rounded(value: int, err: int) -> Decimal | None:
+    """The rounding test of ln_product on the sums V = value and E = err.
+
+    Returns the LN_PRECISION-digit log the test proves, or None when it
+    fails and the caller must take the log directly.
+    """
     if not value:
         return _ZERO
     lo = value - err
@@ -249,7 +261,25 @@ def ln_product(terms) -> Decimal:
     rounded = (lo + half) // unit
     if rounded == (value + err + half) // unit:
         return Decimal(rounded).scaleb(digits - LN_PRECISION - LN_SCALE, CTX)
-    return ln_exact(math.prod(b ** e for b, e in terms))
+    return None
+
+
+def ln_power_and_radical(factors, P: int, R: int) -> tuple[Decimal, Decimal]:
+    """(ln P, ln R) for P = prod p**e over factors ((p, e), ...) and R = prod p.
+
+    Equal to (ln_product(factors), ln_product(((p, 1), ...))), from one
+    loop over factors; a sum that fails the rounding test is taken directly
+    from P or R.
+    """
+    value = err = r_value = r_err = 0
+    for p, e in factors:
+        v, d = ln_cached(p)
+        value += e * v
+        err += e * d
+        r_value += v
+        r_err += d
+    ln_p, ln_r = _ln_rounded(value, err), _ln_rounded(r_value, r_err)
+    return ln_exact(P) if ln_p is None else ln_p, ln_exact(R) if ln_r is None else ln_r
 
 
 def ln_big(v: int) -> BigLog:

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
@@ -179,19 +180,14 @@ def _display(value: Decimal | None) -> str | None:
     return format(round_sig(value, DISPLAY_DIGITS), "f")
 
 
+# A row value is a str, an int (a count), None, True or False.  In JSON a
+# str is a string and an int a number; these tables give the other three.
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+_CSV_WORDS = {None: "", True: "true", False: "false"}
+
+
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if type(value) is bool:
-        return "true" if value else "false"
-    return str(value)
-
-
-def _json_cell(value) -> str:
-    """A row value as JSON: a str is a string, an int (a count) a number."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return "null" if value is None else _csv_cell(value)
+    return str(value) if type(value) in (str, int) else _CSV_WORDS[value]
 
 
 class _Layout:
@@ -212,11 +208,19 @@ class _Layout:
         self.pick = itemgetter(*map(columns.index, human_columns)) if human_columns else tuple
 
     def render(self, fmt: str, row: tuple) -> str:
+        # Cells are encoded inline, not by a _csv_cell call each: this runs
+        # once per solution of a search.
         if fmt == "json":
-            return self.json % tuple(map(_json_cell, row))
-        if fmt == "csv":
-            return ",".join(map(_csv_cell, row))
-        return self.human % self.pick(tuple(map(_csv_cell, row)))
+            return self.json % tuple([
+                encode_basestring_ascii(v) if type(v) is str
+                else str(v) if type(v) is int else _JSON_WORDS[v]
+                for v in row
+            ])
+        cells = [
+            v if type(v) is str else str(v) if type(v) is int else _CSV_WORDS[v]
+            for v in (row if fmt == "csv" else self.pick(row))
+        ]
+        return ",".join(cells) if fmt == "csv" else self.human % tuple(cells)
 
     def print_document(self, fmt: str, row: tuple) -> None:
         if fmt == "csv":
@@ -250,13 +254,38 @@ _SECTIONS = {
     }
     for custom in (False, True)
 }
-_DISPLAYED = {custom: s["gains"] + s["bounds"] for custom, s in _SECTIONS.items()}
 _ANALYZE_LAYOUTS = {custom: _Layout(s, 0, _pair_lines(s)) for custom, s in _SECTIONS.items()}
 _SEARCH_LAYOUT = _Layout(
     _SECTIONS[False], 2,
     "n=%s x=%s y=%s A=%s B=%s k=%s  q=%s G_a=%s G_p=%s",
     ("n", "x", "y", "A", "B", "k", "q", "G_a", "G_p"),
 )
+
+
+@lru_cache(maxsize=None)
+def _fixed_bound_text(n: int, A: int, B: int, y: int) -> tuple:
+    """Display strings of the bounds fixed per (n, A, B, y), in _SECTIONS[False] order.
+
+    Rendered once per key, as gains._fixed_cap_bounds takes their values
+    once per key.  q_min is ga_min, so one string serves both.
+    """
+    fields = bound_fields(n, A, B, y)
+    del fields["q_min"]
+    text = {name: _display(value) for name, value in fields.items()}
+    text["q_min"] = text["ga_min"]
+    return tuple(text[name] for name in _SECTIONS[False]["bounds"])
+
+
+def _bound_text(n: int, A: int, B: int, y: int, gp_max_custom: Decimal | None) -> tuple:
+    """Display strings of the bound fields, in _SECTIONS order.
+
+    gp_max_custom is the value under a custom cap, shown in its own column.
+    """
+    text = _fixed_bound_text(n, A, B, y)
+    if gp_max_custom is None:
+        return text
+    shown = dict(zip(_SECTIONS[False]["bounds"], text), gp_max_custom=_display(gp_max_custom))
+    return tuple(shown[name] for name in _SECTIONS[True]["bounds"])
 
 
 def solution_report(s: Solution, g: GainReport) -> tuple:
@@ -268,7 +297,8 @@ def solution_report(s: Solution, g: GainReport) -> tuple:
     return (
         str(s.n), str(s.x), str(s.y), str(s.A), str(s.B), str(s.k), s.trivial_x,
         str(g.C), str(g.P), None if g.R is None else str(g.R),
-        *[_display(getattr(g, name)) for name in _DISPLAYED[g.gp_max_custom is not None]],
+        _display(g.G_a), _display(g.G_p), _display(g.q),
+        *_bound_text(s.n, s.A, s.B, s.y, g.gp_max_custom),
         g.C == axn + s.k,
         gcd(s.A * s.x, s.B * s.y, s.k) == 1,
         bool(g.C > axn and g.G_a > g.ga_min),
@@ -319,7 +349,7 @@ def _admissible(cap: QMax) -> int | None:
 
 def _run_bounds(args: argparse.Namespace) -> None:
     n, A, B, y, cap = args.n, args.A, args.B, args.y, args.qmax
-    fields = bound_fields(n, A, B, y, cap)
+    custom = bound_fields(n, A, B, y, cap)["gp_max_custom"]
     caps = {"strong": QMAX_STRONG, "ultra": QMAX_ULTRA}
     if cap is not None:
         caps["custom"] = cap
@@ -330,7 +360,7 @@ def _run_bounds(args: argparse.Namespace) -> None:
     }
     row = (
         str(n), str(A), str(B), str(y), None if cap is None else str(cap.value),
-        *[_display(fields[name]) for name in shown],
+        *_bound_text(n, A, B, y, custom),
         *map(_admissible, caps.values()),
     )
     _Layout(sections, 0, _block_lines(sections)).print_document(args.output_format, row)

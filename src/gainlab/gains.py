@@ -29,7 +29,9 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 
-from .bigmath import CTX, LN_PRECISION, int_text, ln_exact, ln_product, require_int
+from .bigmath import (
+    CTX, LN_PRECISION, int_text, ln_exact, ln_power_and_radical, ln_product, require_int,
+)
 from .factor import Factorization, factorize_product
 
 NON_TRIVIAL = "non_trivial"
@@ -305,34 +307,26 @@ def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> d
 
 
 def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | None) -> GainReport:
-    C = s.B * s.y ** s.n
-    P = s.x * s.y * s.A * s.B * s.k
+    n, y, A, B = s.n, s.y, s.A, s.B
+    P = s.x * y * A * B * s.k
     if P == 1:
         # Unreachable for a valid Solution (y >= 2), but the ratio would be
         # 0/0 and must never be silently produced.
         raise ValueError("degenerate denominator: x*y*A*B*k = 1")
-    ln_c = _fixed_cap_bounds(s.n, s.A, s.B, s.y)[0]
+    # validate_solution has checked the parameters that bound_fields would.
+    ln_c, d, ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
+    custom = None if q_max_custom is None else _gp_cap(n, d, q_max_custom)
     if f is None:
         R = g_p = q = None
         ln_p = ln_exact(P)
     else:
         R = f.radical()
-        ln_p = ln_product(f.factors)
-        ln_r = ln_product(tuple((p, 1) for p, _ in f.factors))
-    with localcontext(CTX):
-        g_a = ln_c / ln_p
-        if R is not None:
-            g_p = ln_p / ln_r
-            q = ln_c / ln_r
+        ln_p, ln_r = ln_power_and_radical(f.factors, P, R)
+        g_p = CTX.divide(ln_p, ln_r)
+        q = CTX.divide(ln_c, ln_r)
     return GainReport(
-        C=C,
-        P=P,
-        R=R,
-        G_a=g_a,
-        G_p=g_p,
-        q=q,
-        **bound_fields(s.n, s.A, s.B, s.y, q_max_custom),
-        triviality=s.triviality,
+        B * y ** n, P, R, CTX.divide(ln_c, ln_p), g_p, q,
+        ga_min, ga_min, strong, ultra, custom, k1, s.triviality,
     )
 
 
@@ -348,9 +342,10 @@ def compute_gains(
     G_a, G_p and q are computed independently from the three logarithms, so
     the q = G_a*G_p identity stays a genuine cross-check downstream.
     ln P and ln R are sums of cached prime logs, held as integers at scale
-    10**80 with proven error bounds (see bigmath.ln_product), so each costs
-    a few integer additions and one integer rounding test per solution;
-    ln C = ln B + n*ln y is taken so once per key and shared with D.
+    10**80 with proven error bounds, and both are taken in one pass over
+    the factorization (bigmath.ln_power_and_radical); each sum ends in one
+    integer rounding test (see bigmath.ln_product).  ln C = ln(B*y^n) is
+    taken once per (n, A, B, y) with D and the bound fields, and read here.
     A caller that has already factored the tuple passes
     factorization = factorize_product((x, y, A, B, k)) and gets the same
     report.  Otherwise x, y, A, B and k are factored one at a time within

@@ -187,10 +187,11 @@ class _Progress:
 def _hunt_order(item: tuple[Solution, GainReport]):
     s, g = item
     # Unknown quality (budget-exceeded partial reports) sorts after every
-    # known quality; canonical order breaks the remaining ties.
+    # known quality; canonical order breaks the remaining ties.  copy_negate
+    # is exact, where -q would round in the caller's decimal context.
     if g.q is None:
         return (1, Decimal(0), s.canonical_key())
-    return (0, -g.q, s.canonical_key())
+    return (0, g.q.copy_negate(), s.canonical_key())
 
 
 # Output order of each mode: canonical for fixed_k, best quality first for derived_k.

@@ -21,6 +21,7 @@ from gainlab.bigmath import (
     ipow,
     ln_big,
     ln_cached,
+    ln_power_and_radical,
     ln_product,
     nth_root_floor,
     round_sig,
@@ -235,6 +236,29 @@ class TestLnProduct:
             clear_ln_cache()
         assert counted_fallbacks == [24, (10 ** 9 + 7) ** 40 * HARD_PRIME ** 2]
 
+    @given(factorizations)
+    def test_power_and_radical_in_one_pass(self, terms):
+        P = math.prod(p ** e for p, e in terms)
+        R = math.prod(p for p, _ in terms)
+        ln_p, ln_r = ln_power_and_radical(terms, P, R)
+        assert str(ln_p) == str(ln_product(terms))
+        assert str(ln_r) == str(ln_product(tuple((p, 1) for p, _ in terms)))
+
+    def test_one_pass_falls_back_to_the_exact_integers(self, monkeypatch, counted_fallbacks):
+        # As in test_falls_back_when_the_rounding_test_fails: every sum is
+        # too wide, so both logs come straight from P and R.
+        clear_ln_cache()
+        monkeypatch.setattr(bigmath, "_LEAF_ERR", 10 ** (LN_SCALE - LN_PRECISION + 4))
+        terms = ((10 ** 9 + 7, 40), (HARD_PRIME, 2))
+        P, R = (10 ** 9 + 7) ** 40 * HARD_PRIME ** 2, (10 ** 9 + 7) * HARD_PRIME
+        try:
+            ln_p, ln_r = ln_power_and_radical(terms, P, R)
+        finally:
+            clear_ln_cache()
+        assert counted_fallbacks == [P, R]
+        assert str(ln_p) == str(exact_ln(terms))
+        assert str(ln_r) == str(exact_ln(((10 ** 9 + 7, 1), (HARD_PRIME, 1))))
+
     def test_sums_hold_for_any_cached_log_within_its_bound(self):
         # The rounding test may rest on the stated bounds alone: with the
         # logs of 2 and 3 moved 10**17 units up and their bounds widened to
@@ -304,6 +328,18 @@ class TestCachedLogs:
         assert str(ln_product(terms)) == str(exact_ln(terms))
         primes = tuple((p, 1) for p, _ in terms)
         assert str(ln_product(primes)) == str(exact_ln(primes))
+
+    @pytest.mark.parametrize("v", [1_000_003, 2 * 49999991, 10 ** 8])
+    def test_each_fill_factors_only_its_key_minus_one(self, monkeypatch, v):
+        # p - 1 is all a fill below the limit factors: a key, prime or not,
+        # takes no primality pass of its own.
+        factored = []
+        direct = factor.factorize
+        monkeypatch.setattr(factor, "factorize", lambda u: factored.append(u) or direct(u))
+        clear_ln_cache()
+        ln_cached(v)
+        assert sorted(factored) == sorted(key - 1 for key in bigmath._ln_cache)
+        assert within_stated_bound(v)
 
     def test_recurrence_spends_no_factor_budget(self, monkeypatch):
         # Every p - 1 below 10**8 is split by trial division alone: nothing

@@ -7,7 +7,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from gainlab import cli, gains
+from gainlab.bigmath import round_sig
 from gainlab.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -19,7 +22,7 @@ from gainlab.cli import (
     solution_report,
 )
 from gainlab.factor import BUDGET_ENV_VAR
-from gainlab.gains import compute_gains, custom_qmax, validate_solution
+from gainlab.gains import bound_fields, compute_gains, custom_qmax, validate_solution
 
 DEWEGER_ARGS = [
     "analyze", "--n", "3", "--x", "25", "--y", "128",
@@ -215,6 +218,33 @@ class TestReportRow:
         assert fields["k1_q_bound"] == "1.50000"
         assert fields["thm5_holds"] is True
         assert fields.get("gp_max_custom") == (None if cap is None else "3.13140")
+
+    @given(st.tuples(
+        st.integers(2, 60), st.integers(1, 10 ** 9), st.integers(1, 10 ** 9), st.integers(2, 10 ** 9)
+    ))
+    def test_bound_strings_rendered_per_key(self, key):
+        names = [name for name in REPORT_SCHEMA["bounds"] if name != "gp_max_custom"]
+        fields = bound_fields(*key)
+        expected = tuple(cli._display(fields[name]) for name in names)
+        assert cli._fixed_bound_text(*key) == expected
+
+    def test_round_sig_runs_per_solution_and_per_new_key(self, capsys, monkeypatch):
+        # G_a, G_p and q are rounded for each solution; ga_min (shared by
+        # q_min), the two G_p caps and k1_q_bound once for each new
+        # (n, A, B, y), and the memo holds one entry per key.
+        calls = []
+        monkeypatch.setattr(cli, "round_sig", lambda v, d: calls.append(v) or round_sig(v, d))
+        cli._fixed_bound_text.cache_clear()
+        gains._fixed_cap_bounds.cache_clear()
+        code, doc, _ = run_json(capsys, [
+            "hunt", "--n", "2:3", "--x", "2:12", "--y", "2:12", "--A", "1:2", "--B", "1:2",
+        ])
+        assert code == EXIT_OK
+        keys = {tuple(d["solution"][name] for name in "nABy") for d in doc["solutions"]}
+        assert len(doc["solutions"]) > 2 * len(keys) > 0
+        assert len(calls) == 3 * len(doc["solutions"]) + 4 * len(keys)
+        memo = cli._fixed_bound_text.cache_info().currsize
+        assert memo == len(keys) <= gains._fixed_cap_bounds.cache_info().currsize
 
 
 class TestAnalyzeOtherFormats:

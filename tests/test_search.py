@@ -203,6 +203,17 @@ class TestHuntDerivedK:
             if g1.q == g2.q:
                 assert s1.canonical_key() < s2.canonical_key()
 
+    def test_order_ignores_the_callers_decimal_context(self):
+        # Negated under a 2-digit context, qualities that differ past their
+        # second digit would tie, and this box's order would change from
+        # its fourth entry on.
+        box = derived_box((2, 3), (2, 30), (2, 30), (1, 2), (1, 2))
+        expected = hunt_derived_k(box).solutions
+        with localcontext(Context(prec=2)):
+            assert hunt_derived_k(box).solutions == expected
+        qs = [g.q for _, g in expected]
+        assert len(qs) == 1146 and all(a >= b for a, b in zip(qs, qs[1:]))
+
     def test_trivial_x_skipped_by_default(self):
         box = derived_box((2, 2), (1, 1), (2, 2), (1, 1), (1, 1))
         assert hunt_derived_k(box).solutions == ()
