@@ -146,9 +146,6 @@ def _ln_fill(v: int) -> tuple[int, int]:
     if v == 1:
         result = (0, 0)
     elif v <= _RECURRENCE_LIMIT:
-        # factor imports this module, so it is imported on first use.
-        from .factor import factorize
-
         value, err = _ln_sum(factorize(v - 1).factors)
         result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
     else:
@@ -312,3 +309,8 @@ def round_sig(value: Decimal, digits: int = 6) -> Decimal:
     if value.is_zero():
         return _ZERO
     return value.quantize(_quantum(value.adjusted() - digits + 1), context=CTX)
+
+
+# factor imports this module, so it is imported last: gainlab/__init__ imports
+# bigmath before factor, and every name factor reads from here is then defined.
+from .factor import factorize

@@ -263,29 +263,17 @@ _SEARCH_LAYOUT = _Layout(
 
 
 @lru_cache(maxsize=None)
-def _fixed_bound_text(n: int, A: int, B: int, y: int) -> tuple:
-    """Display strings of the bounds fixed per (n, A, B, y), in _SECTIONS[False] order.
-
-    Rendered once per key, as gains._fixed_cap_bounds takes their values
-    once per key.  q_min is ga_min, so one string serves both.
-    """
-    fields = bound_fields(n, A, B, y)
-    del fields["q_min"]
-    text = {name: _display(value) for name, value in fields.items()}
-    text["q_min"] = text["ga_min"]
-    return tuple(text[name] for name in _SECTIONS[False]["bounds"])
-
-
-def _bound_text(n: int, A: int, B: int, y: int, gp_max_custom: Decimal | None) -> tuple:
+def _bound_text(n: int, A: int, B: int, y: int, gp_max_custom: Decimal | None = None) -> tuple:
     """Display strings of the bound fields, in _SECTIONS order.
 
     gp_max_custom is the value under a custom cap, shown in its own column.
+    Rendered once per key, as gains._fixed_cap_bounds takes the values once
+    per (n, A, B, y); q_min is ga_min, so one string serves both.
     """
-    text = _fixed_bound_text(n, A, B, y)
-    if gp_max_custom is None:
-        return text
-    shown = dict(zip(_SECTIONS[False]["bounds"], text), gp_max_custom=_display(gp_max_custom))
-    return tuple(shown[name] for name in _SECTIONS[True]["bounds"])
+    fields = dict(bound_fields(n, A, B, y), gp_max_custom=gp_max_custom)
+    text = {name: _display(value) for name, value in fields.items() if name != "q_min"}
+    text["q_min"] = text["ga_min"]
+    return tuple(text[name] for name in _SECTIONS[gp_max_custom is not None]["bounds"])
 
 
 def solution_report(s: Solution, g: GainReport) -> tuple:

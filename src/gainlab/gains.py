@@ -223,17 +223,6 @@ def validate_solution(n: int, x: int, y: int, A: int, B: int, k: int) -> Solutio
     return Solution(n=n, x=x, y=y, A=A, B=B, k=k)
 
 
-def _bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
-    """_fixed_cap_bounds(n, A, B, y) for checked parameters."""
-    # Checked before the memo lookup, where 2.0 and True find the keys 2 and 1.
-    for name, v in (("n", n), ("A", A), ("B", B), ("y", y)):
-        require_int(name, v)
-        least = PARAM_FLOORS[name]
-        if v < least:
-            raise ValueError(f"bound formulas require {name} >= {least}")
-    return _fixed_cap_bounds(n, A, B, y)
-
-
 def _gp_cap(n: int, d: Decimal, q_max: QMax) -> Decimal:
     """q_max*D/n, the cap on G_p under q < q_max."""
     return CTX.divide(CTX.multiply(q_max.value, d), Decimal(n))
@@ -241,12 +230,12 @@ def _gp_cap(n: int, d: Decimal, q_max: QMax) -> Decimal:
 
 def ga_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
     """Structural lower bound n/D on G_a; n/(n+2) exactly for A = B = 1."""
-    return _bounds(n, A, B, y)[2]
+    return bound_fields(n, A, B, y)["ga_min"]
 
 
 def gp_upper_bound(n: int, A: int, B: int, y: int, q_max) -> Decimal:
     """Upper bound q_max*D/n = q_max / ga_lower_bound on G_p under q < q_max."""
-    return _gp_cap(n, _bounds(n, A, B, y)[1], _as_qmax(q_max))
+    return bound_fields(n, A, B, y, _as_qmax(q_max))["gp_max_custom"]
 
 
 def q_lower_bound(n: int, A: int, B: int, y: int) -> Decimal:
@@ -298,10 +287,17 @@ def _fixed_cap_bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
 def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> dict:
     """Every bound field for these parameters, keyed by BOUND_FIELDS.
 
-    q_min is ga_min (see q_lower_bound); gp_max_custom is None when no cap
-    is given.  D and the fixed-cap fields are memoized per (n, A, B, y).
+    The checked reader of _fixed_cap_bounds: the public bounds go through
+    it.  q_min is ga_min (see q_lower_bound); gp_max_custom is None when no
+    cap is given.  D and the fixed-cap fields are memoized per (n, A, B, y).
     """
-    _, d, ga_min, strong, ultra, k1 = _bounds(n, A, B, y)
+    # Checked before the memo lookup, where 2.0 and True find the keys 2 and 1.
+    for name, v in (("n", n), ("A", A), ("B", B), ("y", y)):
+        require_int(name, v)
+        least = PARAM_FLOORS[name]
+        if v < least:
+            raise ValueError(f"bound formulas require {name} >= {least}")
+    _, d, ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
     custom = None if q_max is None else _gp_cap(n, d, q_max)
     return dict(zip(BOUND_FIELDS, (ga_min, ga_min, strong, ultra, custom, k1)))
 

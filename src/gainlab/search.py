@@ -91,7 +91,7 @@ class SearchResult:
 
 def _check_range(name: str, rng: tuple[int, int], minimum: int) -> None:
     lo, hi = rng
-    if not isinstance(lo, int) or not isinstance(hi, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in rng):
         raise ValueError(f"{name} bounds must be integers")
     if lo > hi:
         raise ValueError(f"{name} interval [{int_text(lo)}, {int_text(hi)}] is empty")

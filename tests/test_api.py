@@ -41,3 +41,19 @@ def test_traced_caches_exist():
 
     assert isinstance(bigmath._ln_cache, dict)
     assert isinstance(factor._cache, dict)
+
+
+def test_traced_names_bind_one_object():
+    # The tracer wraps each function by identity, on every module attribute
+    # that holds it, so a name bound to another object would go uncounted:
+    # factor.factorize.calls counts bigmath's calls through its own binding.
+    modules = [gainlab] + [
+        importlib.import_module(f"gainlab.{name}")
+        for name in ("bigmath", "factor", "gains", "search", "corpus", "cli")
+    ]
+    for module_name, names in load_tracer().TRACED.items():
+        for name in names:
+            original = getattr(importlib.import_module(f"gainlab.{module_name}"), name)
+            for module in modules:
+                bound = vars(module).get(name, original)
+                assert bound is original, f"{module.__name__}.{name}"

@@ -219,14 +219,22 @@ class TestReportRow:
         assert fields["thm5_holds"] is True
         assert fields.get("gp_max_custom") == (None if cap is None else "3.13140")
 
-    @given(st.tuples(
-        st.integers(2, 60), st.integers(1, 10 ** 9), st.integers(1, 10 ** 9), st.integers(2, 10 ** 9)
-    ))
-    def test_bound_strings_rendered_per_key(self, key):
+    @given(
+        st.tuples(
+            st.integers(2, 60), st.integers(1, 10 ** 9), st.integers(1, 10 ** 9),
+            st.integers(2, 10 ** 9),
+        ),
+        st.decimals("0.01", "100", places=3),
+    )
+    def test_bound_strings_rendered_per_key(self, key, cap):
         names = [name for name in REPORT_SCHEMA["bounds"] if name != "gp_max_custom"]
         fields = bound_fields(*key)
         expected = tuple(cli._display(fields[name]) for name in names)
-        assert cli._fixed_bound_text(*key) == expected
+        assert cli._bound_text(*key) == expected
+        # A custom cap adds its column through the same memo.
+        fields = bound_fields(*key, custom_qmax(cap))
+        expected = tuple(cli._display(fields[name]) for name in cli._SECTIONS[True]["bounds"])
+        assert cli._bound_text(*key, fields["gp_max_custom"]) == expected
 
     def test_round_sig_runs_per_solution_and_per_new_key(self, capsys, monkeypatch):
         # G_a, G_p and q are rounded for each solution; ga_min (shared by
@@ -234,7 +242,7 @@ class TestReportRow:
         # (n, A, B, y), and the memo holds one entry per key.
         calls = []
         monkeypatch.setattr(cli, "round_sig", lambda v, d: calls.append(v) or round_sig(v, d))
-        cli._fixed_bound_text.cache_clear()
+        cli._bound_text.cache_clear()
         gains._fixed_cap_bounds.cache_clear()
         code, doc, _ = run_json(capsys, [
             "hunt", "--n", "2:3", "--x", "2:12", "--y", "2:12", "--A", "1:2", "--B", "1:2",
@@ -243,7 +251,7 @@ class TestReportRow:
         keys = {tuple(d["solution"][name] for name in "nABy") for d in doc["solutions"]}
         assert len(doc["solutions"]) > 2 * len(keys) > 0
         assert len(calls) == 3 * len(doc["solutions"]) + 4 * len(keys)
-        memo = cli._fixed_bound_text.cache_info().currsize
+        memo = cli._bound_text.cache_info().currsize
         assert memo == len(keys) <= gains._fixed_cap_bounds.cache_info().currsize
 
 

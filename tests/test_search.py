@@ -96,6 +96,11 @@ class TestBoxValidation:
     def test_non_integer_bounds(self):
         with pytest.raises(ValueError, match="integers"):
             hunt_derived_k(derived_box((2, 2), (2.0, 3.0), (2, 3), (1, 1), (1, 1)))
+        # A bool is not an integer here, as it is not for check_solution.
+        with pytest.raises(ValueError, match="k_range bounds must be integers"):
+            enumerate_fixed_k(fixed_box((2, 2), (2, 10), (2, 10), (1, 1), (1, 1), (True, True)))
+        with pytest.raises(ValueError, match="x_range bounds must be integers"):
+            hunt_derived_k(derived_box((2, 2), (2, True), (2, 3), (1, 1), (1, 1)))
 
     def test_unknown_mode_axes(self):
         with pytest.raises(ValueError, match="mode"):
