@@ -146,7 +146,7 @@ def _ln_fill(v: int) -> tuple[int, int]:
     if v == 1:
         result = (0, 0)
     elif v <= _RECURRENCE_LIMIT:
-        value, err = _ln_sum(factorize(v - 1).factors)
+        value, err = _ln_sum(factor.factorize(v - 1).factors)
         result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
     else:
         # Decimal converts any int exactly and ln() is correctly rounded;
@@ -311,6 +311,8 @@ def round_sig(value: Decimal, digits: int = 6) -> Decimal:
     return value.quantize(_quantum(value.adjusted() - digits + 1), context=CTX)
 
 
-# factor imports this module, so it is imported last: gainlab/__init__ imports
-# bigmath before factor, and every name factor reads from here is then defined.
-from .factor import factorize
+# factor and this module import each other.  Bound last, as the module and
+# not its function, this works whichever is imported first: factor finds
+# every name it reads from here defined, and the fill reads factor.factorize
+# when it runs, by which time factor is complete.
+from . import factor

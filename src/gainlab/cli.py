@@ -13,8 +13,8 @@ size: --qmax 9.99e63 gives a 65-digit one.
 
 Commands write their report or raise; main alone maps a failure to its
 exit code: 0 success, 1 invalid solution, 2 usage error, 3 resource
-limits (factorization budget, box ceiling, a stdout that cannot be
-written).
+limits (factorization budget, box ceiling, memory, a stdout that cannot
+be written).  A command imports search or corpus only when it runs them.
 """
 
 from __future__ import annotations
@@ -46,16 +46,6 @@ from .gains import (
     custom_qmax,
     max_admissible_exponent,
     validate_solution,
-)
-from .corpus import builtin_corpus, verify_entry
-from .search import (
-    DERIVED_K,
-    FIXED_K,
-    BoxTooLarge,
-    SearchBox,
-    SearchResult,
-    enumerate_fixed_k,
-    hunt_derived_k,
 )
 
 EXIT_OK = 0
@@ -151,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
     search.add_argument("--allow-trivial-x", action="store_true")
     add_format(search)
-    search.set_defaults(mode=FIXED_K, q_threshold=None)
+    search.set_defaults(q_threshold=None)
 
     hunt = sub.add_parser("hunt", help="enumerate a box with derived k")
     for name in ("n", "x", "y", "A", "B"):
@@ -161,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt.add_argument("--q-threshold", type=_threshold_arg, default=None)
     hunt.add_argument("--allow-trivial-x", action="store_true")
     add_format(hunt)
-    hunt.set_defaults(mode=DERIVED_K, k_range=None)
+    hunt.set_defaults(k_range=None)
 
     verify = sub.add_parser("verify-corpus", help="verify the built-in corpus")
     add_format(verify)
@@ -355,19 +345,21 @@ def _run_bounds(args: argparse.Namespace) -> None:
 
 
 def _run_box(args: argparse.Namespace) -> None:
+    from .search import DERIVED_K, FIXED_K, SearchBox, enumerate_fixed_k, hunt_derived_k
+
+    fixed = args.command == "search"
     box = SearchBox(
         n_range=args.n_range,
         x_range=args.x_range,
         y_range=args.y_range,
         A_range=args.A_range,
         B_range=args.B_range,
-        mode=args.mode,
+        mode=FIXED_K if fixed else DERIVED_K,
         k_range=args.k_range,
         q_threshold=args.q_threshold,
         require_nontrivial=not args.allow_trivial_x,
     )
-    runner = enumerate_fixed_k if args.mode == FIXED_K else hunt_derived_k
-    result: SearchResult = runner(box)
+    result = (enumerate_fixed_k if fixed else hunt_derived_k)(box)
     # Each row is rendered and written as it is built; no document is held.
     fmt, write, render = args.output_format, sys.stdout.write, _SEARCH_LAYOUT.render
     solutions, cells = result.solutions, result.cells_scanned
@@ -397,6 +389,8 @@ _VERDICT_KEYS = ("expected", "tolerance", "actual", "pass")
 
 
 def _run_verify_corpus(args: argparse.Namespace) -> None:
+    from .corpus import builtin_corpus, verify_entry
+
     entries = []
     for entry in builtin_corpus():
         report = verify_entry(entry)
@@ -471,14 +465,20 @@ def main(argv=None) -> int:
         except SolutionError as err:
             _emit_validation_failure(err, args.output_format)
             code = EXIT_INVALID
-        except (FactorBudgetExceeded, BoxTooLarge) as err:
-            print(f"error: {err}", file=sys.stderr)
+        except (FactorBudgetExceeded, MemoryError) as err:
+            print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
             code = EXIT_RESOURCE
         except ValueError as err:
-            # A negative parameter makes an invalid tuple; any other bad
-            # value is a usage error.
+            # A box over the cell ceiling is a resource limit.  A negative
+            # parameter makes an invalid tuple; any other bad value is a
+            # usage error.
+            from .search import BoxTooLarge
+
             print(f"error: {err}", file=sys.stderr)
-            code = EXIT_INVALID if command == "analyze" else EXIT_USAGE
+            if isinstance(err, BoxTooLarge):
+                code = EXIT_RESOURCE
+            else:
+                code = EXIT_INVALID if command == "analyze" else EXIT_USAGE
         # A full disk must fail here, not at the interpreter's last flush.
         sys.stdout.flush()
         return code
@@ -492,7 +492,3 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -334,8 +334,8 @@ class TestCachedLogs:
         # p - 1 is all a fill below the limit factors: a key, prime or not,
         # takes no primality pass of its own.
         factored = []
-        direct = bigmath.factorize
-        monkeypatch.setattr(bigmath, "factorize", lambda u: factored.append(u) or direct(u))
+        direct = factor.factorize
+        monkeypatch.setattr(factor, "factorize", lambda u: factored.append(u) or direct(u))
         clear_ln_cache()
         ln_cached(v)
         assert sorted(factored) == sorted(key - 1 for key in bigmath._ln_cache)

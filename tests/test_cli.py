@@ -330,6 +330,16 @@ class TestAnalyzeFailures:
         assert out == ""
         assert "budget" in err
 
+    def test_memory_error_exit(self, capsys, monkeypatch):
+        def exhaust(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "analyze", exhaust)
+        code, out, err = run_cli(capsys, DEWEGER_ARGS)
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err == "error: out of memory\n"
+
     def test_garbage_budget_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
         code, out, err = run_cli(capsys, HARD_ARGS)
