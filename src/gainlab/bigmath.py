@@ -113,18 +113,14 @@ def nth_root_floor(v: int, n: int) -> int:
         # 1**n <= v < 2**n
         return 1
     # Seed strictly above the true root: 2**ceil(bits/n) >= 2**(bits/n) > root.
+    # Each step s is >= the floor R by AM-GM, and while r > R, r**n > v makes
+    # s < r: so r falls strictly to R, where s >= r ends the loop.
     r = 1 << -(-v.bit_length() // n)
     while True:
         s = ((n - 1) * r + v // r ** (n - 1)) // n
         if s >= r:
-            break
+            return r
         r = s
-    # Newton with integer division can land one step off; settle exactly.
-    while r ** n > v:
-        r -= 1
-    while (r + 1) ** n <= v:
-        r += 1
-    return r
 
 
 def ln_cached(v: int) -> tuple[int, int]:
@@ -146,7 +142,7 @@ def _ln_fill(v: int) -> tuple[int, int]:
     if v == 1:
         result = (0, 0)
     elif v <= _RECURRENCE_LIMIT:
-        value, err = _ln_sum(factor.factorize(v - 1).factors)
+        value, err, _, _ = _ln_sum(factor.factorize(v - 1).factors)
         result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
     else:
         # Decimal converts any int exactly and ln() is correctly rounded;
@@ -159,14 +155,16 @@ def _ln_fill(v: int) -> tuple[int, int]:
     return result
 
 
-def _ln_sum(factors) -> tuple[int, int]:
-    """Sum of e*ln_cached(q) over ((q, e), ...), values and bounds alike."""
-    value = err = 0
+def _ln_sum(factors) -> tuple[int, int, int, int]:
+    """Sums of e*ln_cached(q), then of ln_cached(q), over ((q, e), ...), values and bounds."""
+    value = err = r_value = r_err = 0
     for q, e in factors:
         v, d = ln_cached(q)
         value += e * v
         err += e * d
-    return value, err
+        r_value += v
+        r_err += d
+    return value, err, r_value, r_err
 
 
 def _two_atanh_inv(m: int) -> int:
@@ -194,9 +192,9 @@ def ln_product(terms) -> Decimal:
     """ln(prod b**e) correctly rounded to LN_PRECISION digits.
 
     terms is a sequence of (b, e) with integers b >= 1 and e >= 0, typically
-    a prime factorization.  It is _ln_sum, the sum of e*ln(b) over the
-    cached logs with its error bound, and then _ln_rounded, a rounding
-    test that returns the sum only when it proves it equal to the correctly
+    a prime factorization.  It is _ln_sum's first sum, of e*ln(b) over the
+    cached logs with its error bound, and then _ln_rounded, a rounding test
+    that returns the sum only when it proves it equal to the correctly
     rounded log; otherwise the log is taken directly (ln_exact).
 
     Error bounds, in units of 10**-LN_SCALE (S = 10**LN_SCALE).  Each
@@ -236,15 +234,15 @@ def ln_product(terms) -> Decimal:
     of the time: unit is at least 10**16, and E is a few hundred units for
     a search's logs.
 
-    ln_power_and_radical takes the sums of a factorization and of its
-    radical in one loop and ends each in the same _ln_rounded test.
+    ln_power_and_radical reads both sums of _ln_sum, of a factorization
+    and of its radical, and ends each in the same _ln_rounded test.
     """
-    result = _ln_rounded(*_ln_sum(terms))
+    result = _ln_rounded(*_ln_sum(terms)[:2])
     return ln_exact(math.prod(b ** e for b, e in terms)) if result is None else result
 
 
 def _ln_rounded(value: int, err: int) -> Decimal | None:
-    """The rounding test of ln_product on the sums V = value and E = err.
+    """The rounding test of ln_product on one pair of _ln_sum, V = value and E = err.
 
     Returns the LN_PRECISION-digit log the test proves, or None when it
     fails and the caller must take the log directly.
@@ -264,17 +262,11 @@ def _ln_rounded(value: int, err: int) -> Decimal | None:
 def ln_power_and_radical(factors, P: int, R: int) -> tuple[Decimal, Decimal]:
     """(ln P, ln R) for P = prod p**e over factors ((p, e), ...) and R = prod p.
 
-    Equal to (ln_product(factors), ln_product(((p, 1), ...))), from one
-    loop over factors; a sum that fails the rounding test is taken directly
-    from P or R.
+    Equal to (ln_product(factors), ln_product(((p, 1), ...))), from the two
+    sums of one _ln_sum; a sum that fails the rounding test is taken
+    directly from P or R.
     """
-    value = err = r_value = r_err = 0
-    for p, e in factors:
-        v, d = ln_cached(p)
-        value += e * v
-        err += e * d
-        r_value += v
-        r_err += d
+    value, err, r_value, r_err = _ln_sum(factors)
     ln_p, ln_r = _ln_rounded(value, err), _ln_rounded(r_value, r_err)
     return ln_exact(P) if ln_p is None else ln_p, ln_exact(R) if ln_r is None else ln_r
 

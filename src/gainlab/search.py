@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from math import gcd
+from math import gcd, inf
 from time import perf_counter
 
 from .bigmath import int_text, nth_root_floor
@@ -163,9 +163,11 @@ class _Progress:
         self._found = found
         self._t0 = perf_counter()
 
-    def advance(self, cells: int) -> None:
-        self.scanned += cells
-        if self.scanned >= self._next:
+    def advance(self, cells: int, times: int = 1) -> None:
+        """Count cells times over, ticking on the first multiple of cells past each interval."""
+        end = self.scanned + cells * times
+        while end >= self._next:
+            self.scanned += -(-(self._next - self.scanned) // cells) * cells
             rate = self.scanned / (perf_counter() - self._t0)
             eta = (self._total - self.scanned) / rate
             print(
@@ -175,13 +177,7 @@ class _Progress:
             )
             while self._next <= self.scanned:
                 self._next += PROGRESS_INTERVAL
-
-    def advance_times(self, cells: int, times: int) -> None:
-        """advance(cells) times over, in one advance up to each tick."""
-        while times:
-            steps = min(times, -(-(self._next - self.scanned) // cells))
-            times -= steps
-            self.advance(steps * cells)
+        self.scanned = end
 
 
 def _hunt_order(item: tuple[Solution, GainReport]):
@@ -202,7 +198,7 @@ _ORDER = {
 
 
 def _scan(
-    box: SearchBox, mode: str, ceiling: int, budget: int | None, cells, screen: bool = False
+    box: SearchBox, mode: str, ceiling: float, budget: int | None, cells, screen: bool = False
 ) -> SearchResult:
     """Validate the box, report every candidate that cells yields, filter, sort.
 
@@ -248,15 +244,15 @@ def _window_cells(b: SearchBox, progress: _Progress):
     y_lo, y_hi = b.y_range
     a_lo, a_hi = b.A_range
     b_lo, b_hi = b.B_range
+    # The k window and the cells each x counts.  A hunt's window is every
+    # k >= 1, with no upper end: the walk's y <= y_hi bounds k already.
+    if b.mode == FIXED_K:
+        k_lo, k_hi = b.k_range
+        per_x = k_hi - k_lo + 1
+    else:
+        k_lo, k_hi = 1, inf
+        per_x = y_hi - y_lo + 1
     for n in range(n_lo, n_hi + 1):
-        # The k window and the cells each x counts.  A hunt's window holds
-        # every k >= 1 the box can reach, since k < B*y^n <= B_hi*y_hi^n.
-        if b.mode == FIXED_K:
-            k_lo, k_hi = b.k_range
-            per_x = k_hi - k_lo + 1
-        else:
-            k_lo, k_hi = 1, b_hi * y_hi ** n
-            per_x = y_hi - y_lo + 1
         for A in range(a_lo, a_hi + 1):
             for B in range(b_lo, b_hi + 1):
                 # y0 is the least y >= y_lo with B*y0^n >= A*x^n + k_lo, carried
@@ -266,7 +262,7 @@ def _window_cells(b: SearchBox, progress: _Progress):
                 y0 = byn = 0
                 for x in range(x_lo, x_hi + 1):
                     if y0 > y_hi:
-                        progress.advance_times(per_x, x_hi - x + 1)
+                        progress.advance(per_x, x_hi - x + 1)
                         break
                     axn = A * x ** n
                     least = axn + k_lo
@@ -330,8 +326,8 @@ def hunt_derived_k(
     """All solutions with k derived as B*y^n - A*x^n, ranked by quality.
 
     The scan is enumerate_fixed_k's window walk with the k window
-    [1, B_hi*y_hi^n], which holds every k >= 1 of the box: per (n, A, B)
-    row y0 is the least y >= y_lo with B*y0^n >= A*x^n + 1, and y steps
+    [1, inf), since y <= y_hi bounds k already: per (n, A, B) row y0
+    is the least y >= y_lo with B*y0^n >= A*x^n + 1, and y steps
     up from it to y_hi.  Tuples with k < 1 (the dominant-term
     requirement) are counted in cells_scanned, one y-width of cells per
     x, but never visited.  The coprimality gate is exact, and an
@@ -356,13 +352,13 @@ def _oracle_cells(b: SearchBox, progress: _Progress):
     y_lo, y_hi = b.y_range
     a_lo, a_hi = b.A_range
     b_lo, b_hi = b.B_range
-    # A hunt's k window holds every k >= 1 the box can reach: k < B_hi*y_hi^n_hi.
+    # A hunt's k window is every k >= 1, with no upper end: y <= y_hi bounds k.
     per_x = y_hi - y_lo + 1
     if b.mode == FIXED_K:
         k_lo, k_hi = b.k_range
         per_x *= k_hi - k_lo + 1
     else:
-        k_lo, k_hi = 1, b_hi * y_hi ** n_hi
+        k_lo, k_hi = 1, inf
     for n in range(n_lo, n_hi + 1):
         for A in range(a_lo, a_hi + 1):
             for B in range(b_lo, b_hi + 1):
@@ -387,7 +383,7 @@ def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchRe
     and prints no progress.  Only intended for tests: a box of more than
     ORACLE_CELL_CEILING (10^7) (n, A, B, x, y) cells raises BoxTooLarge.
     """
-    return _scan(box, box.mode, ORACLE_CELL_CEILING, budget, _oracle_cells)
+    return _scan(box, box.mode, inf, budget, _oracle_cells)
 
 
 def split_box(box: SearchBox, parts: int, axis: str | None = None) -> tuple[SearchBox, ...]:

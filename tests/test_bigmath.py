@@ -96,6 +96,19 @@ class TestNthRootFloor:
         assert ipow(r, n) <= v
         assert ipow(r + 1, n) > v
 
+    @given(
+        st.integers(min_value=1, max_value=10 ** 30),
+        st.integers(min_value=3, max_value=64),
+        st.sampled_from((-1, 0, 1)),
+    )
+    @example(r=2, n=3, offset=-1)
+    @example(r=10 ** 30, n=64, offset=1)
+    @example(r=10 ** 30 - 1, n=64, offset=-1)
+    def test_floor_at_the_edges_of_a_power(self, r, n, offset):
+        # v = r^n - 1, r^n, r^n + 1: the values on either side of a root.
+        expected = r - 1 if offset < 0 else r
+        assert nth_root_floor(r ** n + offset, n) == expected
+
     @given(st.integers(min_value=0, max_value=10 ** 30))
     def test_square_root_matches_isqrt(self, v):
         import math

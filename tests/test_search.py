@@ -581,6 +581,15 @@ class TestCellCeilings:
         assert int(out[0]) == 2 * (10 ** 9 - 1)
         assert float(out[1]) < 1.0
 
+    def test_oracle_ceiling_ignores_the_k_width(self):
+        # Two (n, A, B, x, y) cells and 2 * 10^7 k values: the oracle's one
+        # ceiling is on the cells it visits, so the k width raises nothing.
+        box = fixed_box((2, 2), (2, 2), (2, 3), (1, 1), (1, 1), (1, 2 * 10 ** 7))
+        assert cell_count(box) == 2 * 10 ** 7 > ORACLE_CELL_CEILING
+        oracle = brute_force_oracle(box)
+        assert oracle.solutions == enumerate_fixed_k(box).solutions
+        assert [(s.n, s.x, s.y, s.k) for s, _ in oracle.solutions] == [(2, 2, 3, 5)]
+
     def test_default_ceiling(self):
         box = fixed_box((2, 2), (2, 2), (2, 2), (1, 1), (1, 1), (1, DEFAULT_CELL_CEILING + 1))
         with pytest.raises(BoxTooLarge):
@@ -860,6 +869,39 @@ class TestProgress:
         enumerate_fixed_k(spec_fixed_box())
         assert "progress" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lead, cells, times, interval",
+        [
+            (0, 11, 7, 30),
+            (0, 7, 20, 30),  # 140 cells: the batch spans four intervals
+            (2, 3, 10, 30),  # a tick on the interval itself
+            (1, 50, 4, 30),  # more cells per step than the interval
+            (5, 1, 100, 25),
+            (3, 4, 0, 30),
+        ],
+    )
+    def test_batched_ticks_fall_where_single_advances_put_them(
+        self, capsys, monkeypatch, lead, cells, times, interval
+    ):
+        # lead single advances first, so the batch starts between ticks.
+        monkeypatch.setattr(search, "PROGRESS_INTERVAL", interval)
+
+        def ticks(batched: bool) -> tuple[list[int], int]:
+            progress = search._Progress(10 ** 4, [])
+            for _ in range(lead):
+                progress.advance(cells)
+            if batched:
+                progress.advance(cells, times)
+            else:
+                for _ in range(times):
+                    progress.advance(cells)
+            err = capsys.readouterr().err
+            return [int(t) for t in re.findall(r"progress: (\d+)/", err)], progress.scanned
+
+        single = ticks(batched=False)
+        assert ticks(batched=True) == single
+        assert single[1] == (lead + times) * cells
+
 
 class TestExhaustedRows:
     """Once a row's least y has passed y_hi, the rest of the row is counted at once."""
@@ -868,9 +910,9 @@ class TestExhaustedRows:
         steps = []
         advance = search._Progress.advance
 
-        def counted(progress, cells):
-            steps.append(cells)
-            advance(progress, cells)
+        def counted(progress, cells, times=1):
+            steps.append(cells * times)
+            advance(progress, cells, times)
 
         monkeypatch.setattr(search._Progress, "advance", counted)
         result = run(box)
