@@ -142,7 +142,7 @@ def _ln_fill(v: int) -> tuple[int, int]:
     if v == 1:
         result = (0, 0)
     elif v <= _RECURRENCE_LIMIT:
-        value, err, _, _ = _ln_sum(factor.factorize(v - 1).factors)
+        value, err = _ln_sum(factor.factorize(v - 1).factors)[:2]
         result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
     else:
         # Decimal converts any int exactly and ln() is correctly rounded;
