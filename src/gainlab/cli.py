@@ -30,6 +30,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
+from time import perf_counter
 
 from .bigmath import round_sig
 from .factor import FactorBudgetExceeded, resolve_budget
@@ -134,20 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(bounds)
     bounds.add_argument("--qmax", type=_qmax_arg, default=None)
 
+    # A box axis is --{axis} LO:HI, stored as {axis}_range (SearchBox's field).
     search = sub.add_parser("search", help="enumerate a box with fixed k")
-    for name in ("n", "x", "y", "A", "B", "k"):
-        search.add_argument(
-            f"--{name}", dest=f"{name}_range", type=_range_arg, required=True, metavar="LO:HI"
-        )
+    hunt = sub.add_parser("hunt", help="enumerate a box with derived k")
+    for box_cmd, axes in ((search, "nxyABk"), (hunt, "nxyAB")):
+        for name in axes:
+            box_cmd.add_argument(
+                f"--{name}", dest=f"{name}_range", type=_range_arg, required=True, metavar="LO:HI"
+            )
     search.add_argument("--allow-trivial-x", action="store_true")
     add_format(search)
     search.set_defaults(q_threshold=None)
 
-    hunt = sub.add_parser("hunt", help="enumerate a box with derived k")
-    for name in ("n", "x", "y", "A", "B"):
-        hunt.add_argument(
-            f"--{name}", dest=f"{name}_range", type=_range_arg, required=True, metavar="LO:HI"
-        )
     hunt.add_argument("--q-threshold", type=_threshold_arg, default=None)
     hunt.add_argument("--allow-trivial-x", action="store_true")
     add_format(hunt)
@@ -349,17 +348,14 @@ def _run_box(args: argparse.Namespace) -> None:
 
     fixed = args.command == "search"
     box = SearchBox(
-        n_range=args.n_range,
-        x_range=args.x_range,
-        y_range=args.y_range,
-        A_range=args.A_range,
-        B_range=args.B_range,
         mode=FIXED_K if fixed else DERIVED_K,
-        k_range=args.k_range,
         q_threshold=args.q_threshold,
         require_nontrivial=not args.allow_trivial_x,
+        **{dest: rng for dest, rng in vars(args).items() if dest.endswith("_range")},
     )
+    t0 = perf_counter()
     result = (enumerate_fixed_k if fixed else hunt_derived_k)(box)
+    duration = perf_counter() - t0
     # Each row is rendered and written as it is built; no document is held.
     fmt, write, render = args.output_format, sys.stdout.write, _SEARCH_LAYOUT.render
     solutions, cells = result.solutions, result.cells_scanned
@@ -378,8 +374,7 @@ def _run_box(args: argparse.Namespace) -> None:
         if fmt == "human":
             write(f"cells_scanned: {cells}\n")
     print(
-        f"scanned {result.cells_scanned} cells in {result.duration:.3f}s, "
-        f"{len(result.solutions)} solutions",
+        f"scanned {cells} cells in {duration:.3f}s, {len(solutions)} solutions",
         file=sys.stderr,
     )
 

@@ -401,10 +401,10 @@ def quality_below(s: Solution, threshold: Decimal, factorization: Factorization)
     return ln_c < bound < math.inf
 
 
-def compute_gains_partial(s: Solution, *, q_max_custom: QMax | None = None) -> GainReport:
-    """GainReport with R, G_p and q marked unavailable.
+def compute_gains_partial(s: Solution) -> GainReport:
+    """GainReport with R, G_p and q marked unavailable, and no custom cap.
 
     Used when the factorization budget was exhausted for this solution;
     G_a and all bound fields are still exact.
     """
-    return _build_report(s, None, q_max_custom)
+    return _build_report(s, None, None)

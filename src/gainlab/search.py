@@ -19,7 +19,7 @@ run, so parallel schedules cannot change output.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from math import gcd, inf
 from time import perf_counter
@@ -78,15 +78,13 @@ class SearchBox:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Solutions with their reports, plus scan accounting.
+    """Solutions with their reports, plus the cells the mode's scan counts.
 
-    Wall time is excluded from equality: two runs over the same box are
-    equal results even though they never take identical time.
+    A plain value: two runs over the same box give equal results.
     """
 
     solutions: tuple[tuple[Solution, GainReport], ...]
     cells_scanned: int
-    duration: float = field(compare=False)
 
 
 def _check_range(name: str, rng: tuple[int, int], minimum: int) -> None:
@@ -214,7 +212,6 @@ def _scan(
     total = cell_count(b)
     if total > ceiling:
         raise BoxTooLarge(total, ceiling)
-    t0 = perf_counter()
     threshold = b.q_threshold if mode == DERIVED_K else None
     screened = threshold if screen else None
     out: list[tuple[Solution, GainReport]] = []
@@ -235,7 +232,19 @@ def _scan(
             continue
         out.append((s, report))
     out.sort(key=_ORDER[mode])
-    return SearchResult(tuple(out), progress.scanned, perf_counter() - t0)
+    return SearchResult(tuple(out), progress.scanned)
+
+
+def _window(b: SearchBox) -> tuple[int, int | float, int]:
+    """The mode's k window (k_lo, k_hi) and the cells each x counts.
+
+    fixed_k takes the box's k_range and counts its k width.  A hunt's window
+    is every k >= 1, with no upper end since y <= y_hi bounds k already, and
+    it counts the y width.
+    """
+    if b.mode == FIXED_K:
+        return (*b.k_range, _axis_width(b, "k"))
+    return 1, inf, _axis_width(b, "y")
 
 
 def _window_cells(b: SearchBox, progress: _Progress):
@@ -244,14 +253,7 @@ def _window_cells(b: SearchBox, progress: _Progress):
     y_lo, y_hi = b.y_range
     a_lo, a_hi = b.A_range
     b_lo, b_hi = b.B_range
-    # The k window and the cells each x counts.  A hunt's window is every
-    # k >= 1, with no upper end: the walk's y <= y_hi bounds k already.
-    if b.mode == FIXED_K:
-        k_lo, k_hi = b.k_range
-        per_x = k_hi - k_lo + 1
-    else:
-        k_lo, k_hi = 1, inf
-        per_x = y_hi - y_lo + 1
+    k_lo, k_hi, per_x = _window(b)
     for n in range(n_lo, n_hi + 1):
         for A in range(a_lo, a_hi + 1):
             for B in range(b_lo, b_hi + 1):
@@ -352,13 +354,7 @@ def _oracle_cells(b: SearchBox, progress: _Progress):
     y_lo, y_hi = b.y_range
     a_lo, a_hi = b.A_range
     b_lo, b_hi = b.B_range
-    # A hunt's k window is every k >= 1, with no upper end: y <= y_hi bounds k.
-    per_x = y_hi - y_lo + 1
-    if b.mode == FIXED_K:
-        k_lo, k_hi = b.k_range
-        per_x *= k_hi - k_lo + 1
-    else:
-        k_lo, k_hi = 1, inf
+    k_lo, k_hi, per_x = _window(b)
     for n in range(n_lo, n_hi + 1):
         for A in range(a_lo, a_hi + 1):
             for B in range(b_lo, b_hi + 1):
@@ -374,11 +370,12 @@ def _oracle_cells(b: SearchBox, progress: _Progress):
 def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchResult:
     """Reference search: plain nested loops, exact checks, no shortcuts.
 
-    Matches the mode-appropriate search's output contract exactly (same
-    filters, same ordering).  Both modes loop over every (n, A, B, x, y),
-    derive k = B*y^n - A*x^n and keep the coprime tuples whose k lies in
-    the mode's window: k_range for fixed_k, every k >= 1 for derived_k.
-    cells_scanned counts the y width per x, times the k width in fixed_k.
+    Returns the same SearchResult as the mode's search (same filters,
+    same ordering, same cells_scanned).  Both modes loop over every
+    (n, A, B, x, y), derive k = B*y^n - A*x^n and keep the coprime tuples
+    whose k lies in the mode's window (_window): k_range for fixed_k, every
+    k >= 1 for derived_k.  cells_scanned counts the mode's cells per x, as
+    the search does: the k width for fixed_k, the y width for derived_k.
     It builds every report before applying a threshold (no float screen)
     and prints no progress.  Only intended for tests: a box of more than
     ORACLE_CELL_CEILING (10^7) (n, A, B, x, y) cells raises BoxTooLarge.
@@ -419,16 +416,14 @@ def merge_results(results, mode: str) -> SearchResult:
     """Deterministic union of disjoint sub-box results.
 
     Ordering matches a single-box run of the given mode exactly; cell
-    counts and durations add.
+    counts add.
     """
     merged: list[tuple[Solution, GainReport]] = []
     cells = 0
-    duration = 0.0
     for r in results:
         merged.extend(r.solutions)
         cells += r.cells_scanned
-        duration += r.duration
     if mode not in _ORDER:
         raise ValueError(f"unknown mode {mode!r}")
     merged.sort(key=_ORDER[mode])
-    return SearchResult(tuple(merged), cells, duration)
+    return SearchResult(tuple(merged), cells)
