@@ -8,9 +8,9 @@ positive integers carry 64 correctly-rounded significant digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from functools import lru_cache
+from typing import NamedTuple
 
 # Working precision for every logarithm and every derived ratio.  Display
 # rounding is 6 significant digits; 64 working digits keep all comparison
@@ -49,8 +49,7 @@ _RECURRENCE_LIMIT = 10 ** 8
 _ln_cache: dict[int, tuple[int, int]] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class BigLog:
+class BigLog(NamedTuple):
     """Natural logarithm of a positive integer.
 
     value is correctly rounded at ``precision_digits`` significant decimal

@@ -10,9 +10,9 @@ reports such failures as data, never as errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from math import gcd
+from typing import NamedTuple
 
 from .bigmath import CTX
 from .gains import GainReport, Solution, compute_gains, validate_solution
@@ -22,8 +22,7 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One historical case: raw parameters and published expectations.
 
     expected maps quantity name to (value, tolerance); tolerance 0 means
@@ -45,16 +44,14 @@ class CorpusEntry:
         return self.B * self.y ** self.n - self.A * self.x ** self.n
 
 
-@dataclass(frozen=True, slots=True)
-class QuantityVerdict:
+class QuantityVerdict(NamedTuple):
     expected: Decimal
     tolerance: Decimal
     actual: Decimal | int | None
     passed: bool
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     quantities: dict[str, QuantityVerdict]
     consistency: dict[str, str]

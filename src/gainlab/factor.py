@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigmath import int_text, nth_root_floor, require_int
 
@@ -72,8 +72,7 @@ _PRIME_BLOCKS = tuple(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization as ((prime, exponent), ...), ascending by prime.
 
     When complete is True the product of prime**exponent equals the

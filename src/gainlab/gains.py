@@ -24,10 +24,10 @@ with a proven margin, before any 64-digit log is taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .bigmath import (
     CTX, LN_PRECISION, int_text, ln_exact, ln_power_and_radical, ln_product, require_int,
@@ -52,8 +52,7 @@ PARAM_FLOORS = {"n": 2, "x": 1, "y": 2, "A": 1, "B": 1, "k": 1}
 QMAX_RANGE = (Decimal(1).scaleb(-LN_PRECISION), Decimal(1).scaleb(LN_PRECISION))
 
 
-@dataclass(frozen=True, slots=True)
-class Solution:
+class Solution(NamedTuple):
     """A verified tuple with B*y^n = A*x^n + k and gcd(A*x, B*y, k) = 1.
 
     Construct through validate_solution; the invariants are not re-checked
@@ -80,8 +79,7 @@ class Solution:
         return (self.n, self.k, self.A, self.B, self.x, self.y)
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed solution invariant.
 
     kind is one of the *_VIOLATION constants; residual is the exact value
@@ -93,8 +91,7 @@ class Violation:
     residual: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -114,26 +111,31 @@ class SolutionError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True, slots=True)
-class QMax:
+# A NamedTuple class body may not define __new__, so QMax subclasses a
+# functional one to check its value.
+class QMax(NamedTuple("QMax", [("value", Decimal), ("label", str)])):
     """A quality cap q < value, labeled strong (2), ultra (1.5), or custom.
 
     value is a finite Decimal in the interval QMAX_RANGE.
     """
 
-    value: Decimal
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Decimal):
+    def __new__(cls, value: Decimal, label: str) -> QMax:
+        if not isinstance(value, Decimal):
             raise TypeError("QMax.value must be a Decimal")
-        if not self.value.is_finite():
+        if not value.is_finite():
             raise ValueError("QMax.value must be finite")
-        if self.value <= 0:
+        if value <= 0:
             raise ValueError("QMax.value must be positive")
         low, high = QMAX_RANGE
-        if not low <= self.value < high:
+        if not low <= value < high:
             raise ValueError(f"QMax.value must lie in [{low}, {high})")
+        return super().__new__(cls, value, label)
+
+    # The inherited _make, which _replace calls, builds the tuple directly
+    # and would skip the checks above.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 QMAX_STRONG = QMax(Decimal(2), "strong")
@@ -151,8 +153,7 @@ def _as_qmax(q_max) -> QMax:
     return custom_qmax(q_max)
 
 
-@dataclass(frozen=True, slots=True)
-class GainReport:
+class GainReport(NamedTuple):
     """All computed quantities for one solution.
 
     C is the dominant term B*y^n, P the parameter product x*y*A*B*k, R the

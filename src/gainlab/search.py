@@ -19,10 +19,10 @@ run, so parallel schedules cannot change output.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
 from decimal import Decimal
 from math import gcd, inf
 from time import perf_counter
+from typing import NamedTuple
 
 from .bigmath import int_text, nth_root_floor
 from .factor import FactorBudgetExceeded, factorize_product
@@ -56,8 +56,7 @@ class BoxTooLarge(ValueError):
         self.ceiling = ceiling
 
 
-@dataclass(frozen=True, slots=True)
-class SearchBox:
+class SearchBox(NamedTuple):
     """Inclusive parameter intervals plus search mode.
 
     k_range applies only in fixed_k mode.  q_threshold filters derived_k
@@ -76,8 +75,7 @@ class SearchBox:
     require_nontrivial: bool = True
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Solutions with their reports, plus the cells the mode's scan counts.
 
     A plain value: two runs over the same box give equal results.
@@ -100,7 +98,7 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> None:
 def _floored(box: SearchBox) -> SearchBox:
     """Apply the non-triviality floor to x (trivial x = 1 tuples are skipped)."""
     if box.require_nontrivial and box.x_range[0] < 2:
-        return replace(box, x_range=(2, box.x_range[1]))
+        return box._replace(x_range=(2, box.x_range[1]))
     return box
 
 
@@ -346,7 +344,7 @@ def hunt_derived_k(
 
 def _oracle_cells(b: SearchBox, progress: _Progress):
     # Whatever the mode, the oracle visits every (n, A, B, x, y) cell.
-    visited = cell_count(replace(b, mode=DERIVED_K))
+    visited = cell_count(b._replace(mode=DERIVED_K))
     if visited > ORACLE_CELL_CEILING:
         raise BoxTooLarge(visited, ORACLE_CELL_CEILING)
     n_lo, n_hi = b.n_range
@@ -407,7 +405,7 @@ def split_box(box: SearchBox, parts: int, axis: str | None = None) -> tuple[Sear
     for i in range(parts):
         size = base + (1 if i < extra else 0)
         sub = (cursor, cursor + size - 1)
-        boxes.append(replace(box, **{f"{axis}_range": sub}))
+        boxes.append(box._replace(**{f"{axis}_range": sub}))
         cursor += size
     return tuple(boxes)
 

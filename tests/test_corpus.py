@@ -4,7 +4,6 @@ Frozen reference values were computed with an independent high-precision
 oracle (mpmath at 60 significant digits) and pasted here as strings.
 """
 
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
@@ -120,7 +119,7 @@ class TestVerifyEntry:
         assert not r.all_quantities_pass
 
     def test_missing_printed_k_is_not_applicable(self):
-        e = replace(by_name("reyssat"), k_printed=None)
+        e = by_name("reyssat")._replace(k_printed=None)
         r = verify_entry(e)
         assert r.consistency["printed_k"] == NOT_APPLICABLE
         assert r.all_consistency_pass
@@ -148,7 +147,7 @@ class TestVerifyEntry:
 
     def test_every_quantity_name_reads_its_report_field(self):
         # q_min is accepted though no shipped entry uses it.
-        e = replace(by_name("deweger"), expected={
+        e = by_name("deweger")._replace(expected={
             name: (Decimal(0), Decimal(1)) for name in (
                 "G_a", "G_p", "q", "ga_min", "q_min", "gp_max_strong", "gp_max_ultra",
                 "radical_P", "limit_ratio",
@@ -167,7 +166,7 @@ class TestVerifyEntry:
 
     @pytest.mark.parametrize("name", ["bogus", "R", "k1_q_bound", "gp_max_custom", "triviality"])
     def test_unknown_quantity_name_raises(self, name):
-        e = replace(by_name("deweger"), expected={name: (Decimal(0), Decimal(1))})
+        e = by_name("deweger")._replace(expected={name: (Decimal(0), Decimal(1))})
         with pytest.raises(ValueError, match="unknown corpus quantity"):
             verify_entry(e)
 

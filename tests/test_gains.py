@@ -439,6 +439,25 @@ class TestQMax:
             with pytest.raises(ValueError, match="finite"):
                 custom_qmax(text)
 
+    @pytest.mark.parametrize("value, error, match", [
+        (Decimal(0), ValueError, "positive"),
+        (Decimal("inf"), ValueError, "finite"),
+        (Decimal("1e64"), ValueError, "must lie in"),
+        (2, TypeError, "Decimal"),
+    ])
+    def test_every_construction_path_checks(self, value, error, match):
+        # _replace goes through _make, which would otherwise build the tuple
+        # without QMax's checks.
+        for build in (
+            lambda: QMax(value, "custom"),
+            lambda: QMax._make((value, "custom")),
+            lambda: QMAX_STRONG._replace(value=value),
+        ):
+            with pytest.raises(error, match=match):
+                build()
+        assert QMAX_STRONG._replace(label="custom") == QMax(Decimal(2), "custom")
+        assert QMax._make((Decimal("1.5"), "ultra")) == QMAX_ULTRA
+
 
 class TestRandomValidSolutions:
     @given(

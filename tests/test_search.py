@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
@@ -130,7 +129,7 @@ class TestCellCount:
 
     def test_fixed_box_without_k_range_has_no_cells(self):
         # A missing k_range has width 0, so the widest axis to split is x.
-        box = replace(spec_fixed_box(), k_range=None)
+        box = spec_fixed_box()._replace(k_range=None)
         assert cell_count(box) == 0
         assert [p.x_range for p in split_box(box, 2)] == [(2, 6), (7, 10)]
 
@@ -559,7 +558,7 @@ class TestCellCeilings:
         assert cell_count(box) == 2
         # Box validation still comes first.
         with pytest.raises(ValueError, match="^n_range lower bound 1 violates minimum 2$"):
-            brute_force_oracle(replace(box, n_range=(1, 2)))
+            brute_force_oracle(box._replace(n_range=(1, 2)))
         script = (
             "from time import perf_counter\n"
             "from gainlab.search import BoxTooLarge, SearchBox, brute_force_oracle\n"
@@ -731,15 +730,15 @@ class TestScreen:
         # A threshold at, or a hair either side of, one of the box's qualities.
         with localcontext(CTX):
             t = qs[pick % len(qs)] * (1 + Decimal(nudge)) if qs else Decimal(1)
-        screened = hunt_derived_k(replace(box, q_threshold=t))
+        screened = hunt_derived_k(box._replace(q_threshold=t))
         kept = tuple(item for item in full.solutions if item[1].q is None or item[1].q >= t)
         assert screened.solutions == kept
         assert screened.cells_scanned == full.cells_scanned
 
     def test_threshold_at_an_exact_quality_keeps_it(self):
-        box = replace(self.REYSSAT_BOX, q_threshold=self.REYSSAT_Q64)
+        box = self.REYSSAT_BOX._replace(q_threshold=self.REYSSAT_Q64)
         assert keys(hunt_derived_k(box)) == [(5, 2, 109, 1, 9, 23)]
-        above = replace(box, q_threshold=self.REYSSAT_Q64.next_plus(CTX))
+        above = box._replace(q_threshold=self.REYSSAT_Q64.next_plus(CTX))
         assert hunt_derived_k(above).solutions == ()
 
     def test_dropped_tuples_build_no_report(self, monkeypatch):
@@ -769,7 +768,7 @@ class TestScreen:
         # Every tuple has q > 0.1, so the screen keeps all of them and each
         # gets a report, from the one factorization the screen read.
         box = derived_box((7, 8), (2, 12), (2, 12), (1, 2), (1, 2), q_threshold=Decimal("0.1"))
-        coprime = brute_force_oracle(replace(box, q_threshold=None))
+        coprime = brute_force_oracle(box._replace(q_threshold=None))
         factored = []
         original = factor.factorize_product
 
