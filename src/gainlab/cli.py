@@ -3,18 +3,19 @@
 Subcommands: analyze one solution, evaluate bounds for parameters, search
 a box with fixed k, hunt a box with derived k, verify the built-in corpus.
 Reports go to stdout in json, csv, or human form, each filled into a
-template built once from REPORT_SCHEMA; a search writes each row as it
-renders it.  Progress, timing, and errors go to stderr.  Identical
-invocations produce byte-identical stdout: solution parameters and terms
-serialize as exact decimal strings and every real as a
-6-significant-digit decimal string, never a binary float.  Counts
-(cells_scanned, max_admissible_exponent_*) are JSON numbers, exact at any
-size: --qmax 9.99e63 gives a 65-digit one.
+template built once from REPORT_SCHEMA; a search renders each row as the
+scan finds it, into bounded sorted runs (runs.SortedRows).  Progress,
+timing, and errors go to stderr.  Identical invocations produce
+byte-identical stdout: solution parameters and terms serialize as exact
+decimal strings and every real as a 6-significant-digit decimal string,
+never a binary float.  Counts (cells_scanned, max_admissible_exponent_*)
+are JSON numbers, exact at any size: --qmax 9.99e63 gives a 65-digit one.
 
 Commands write their report or raise; main alone maps a failure to its
 exit code: 0 success, 1 invalid solution, 2 usage error, 3 resource
-limits (factorization budget, box ceiling, memory, a stdout that cannot
-be written).  A command imports search or corpus only when it runs them.
+limits (factorization budget, box ceiling, memory, a stdout or spill
+file that cannot be written).  A command imports search, runs or corpus
+only when it runs them.
 """
 
 from __future__ import annotations
@@ -344,7 +345,8 @@ def _run_bounds(args: argparse.Namespace) -> None:
 
 
 def _run_box(args: argparse.Namespace) -> None:
-    from .search import DERIVED_K, FIXED_K, SearchBox, enumerate_fixed_k, hunt_derived_k
+    from .runs import SortedRows, hunt_row, search_row
+    from .search import DERIVED_K, FIXED_K, SearchBox, _scan_box
 
     fixed = args.command == "search"
     box = SearchBox(
@@ -353,30 +355,34 @@ def _run_box(args: argparse.Namespace) -> None:
         require_nontrivial=not args.allow_trivial_x,
         **{dest: rng for dest, rng in vars(args).items() if dest.endswith("_range")},
     )
-    t0 = perf_counter()
-    result = (enumerate_fixed_k if fixed else hunt_derived_k)(box)
-    duration = perf_counter() - t0
-    # Each row is rendered and written as it is built; no document is held.
     fmt, write, render = args.output_format, sys.stdout.write, _SEARCH_LAYOUT.render
-    solutions, cells = result.solutions, result.cells_scanned
-    if fmt == "json":
-        write('{\n  "solutions": [')
-        for i, (s, g) in enumerate(solutions):
-            write((",\n    " if i else "\n    ") + render(fmt, solution_report(s, g)))
-        write(("\n  ]" if solutions else "]") + f',\n  "cells_scanned": {cells}\n}}\n')
-    else:
-        if fmt == "csv":
-            write(_SEARCH_LAYOUT.csv_header + "\n")
-        elif not solutions:
-            write("no solutions\n")
-        for s, g in solutions:
-            write(render(fmt, solution_report(s, g)) + "\n")
-        if fmt == "human":
-            write(f"cells_scanned: {cells}\n")
-    print(
-        f"scanned {cells} cells in {duration:.3f}s, {len(solutions)} solutions",
-        file=sys.stderr,
+    rows = SortedRows(
+        search_row if fixed else hunt_row, lambda s, g: render(fmt, solution_report(s, g))
     )
+    try:
+        t0 = perf_counter()
+        cells = _scan_box(box, rows.add)
+        texts = (map(itemgetter(-1), batch) for batch in rows.batches())
+        duration = perf_counter() - t0
+        if fmt == "json":
+            write('{\n  "solutions": [')
+            lead = "\n    "
+            for batch in texts:
+                write(lead + ",\n    ".join(batch))
+                lead = ",\n    "
+            write(("\n  ]" if len(rows) else "]") + f',\n  "cells_scanned": {cells}\n}}\n')
+        else:
+            if fmt == "csv":
+                write(_SEARCH_LAYOUT.csv_header + "\n")
+            elif not len(rows):
+                write("no solutions\n")
+            for batch in texts:
+                write("\n".join(batch) + "\n")
+            if fmt == "human":
+                write(f"cells_scanned: {cells}\n")
+    finally:
+        rows.close()
+    print(f"scanned {cells} cells in {duration:.3f}s, {len(rows)} solutions", file=sys.stderr)
 
 
 # A corpus verdict row is (quantity, *_VERDICT_KEYS), formatted once.
@@ -478,8 +484,10 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except OSError as err:
-        # stdout cannot be written.  fd 1 is pointed at os.devnull so that
-        # the last flush succeeds; an in-memory stdout has no fd to point.
+        # stdout, or a search's spill file, cannot be written.  fd 1 is
+        # pointed at os.devnull so that the last flush succeeds; an
+        # in-memory stdout has no fd to point.  A spill fails during the
+        # scan, before any row is written, so no output is lost.
         print(f"error: {err}", file=sys.stderr)
         with contextlib.suppress(io.UnsupportedOperation):
             fd = sys.stdout.fileno()

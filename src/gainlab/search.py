@@ -144,19 +144,19 @@ def cell_count(box: SearchBox) -> int:
 
 
 class _Progress:
-    """Scanned-cell count, with liveness ticks to stderr every PROGRESS_INTERVAL cells.
+    """Cells scanned and solutions kept, with ticks to stderr every PROGRESS_INTERVAL cells.
 
     A tick also reports the scan rate since the start and the time left
     at that rate.
     """
 
-    __slots__ = ("scanned", "_next", "_total", "_found", "_t0")
+    __slots__ = ("scanned", "found", "_next", "_total", "_t0")
 
-    def __init__(self, total: int, found: list):
+    def __init__(self, total: int):
         self.scanned = 0
+        self.found = 0
         self._next = PROGRESS_INTERVAL
         self._total = total
-        self._found = found
         self._t0 = perf_counter()
 
     def advance(self, cells: int, times: int = 1) -> None:
@@ -167,7 +167,7 @@ class _Progress:
             rate = self.scanned / (perf_counter() - self._t0)
             eta = (self._total - self.scanned) / rate
             print(
-                f"progress: {self.scanned}/{self._total} cells, {len(self._found)} solutions, "
+                f"progress: {self.scanned}/{self._total} cells, {self.found} solutions, "
                 f"{rate:.0f} cells/s, ETA {eta:.1f}s",
                 file=sys.stderr,
             )
@@ -194,9 +194,10 @@ _ORDER = {
 
 
 def _scan(
-    box: SearchBox, mode: str, ceiling: float, budget: int | None, cells, screen: bool = False
-) -> SearchResult:
-    """Validate the box, report every candidate that cells yields, filter, sort.
+    box: SearchBox, mode: str, ceiling: float, budget: int | None, cells, sink,
+    screen: bool = False,
+) -> int:
+    """Validate the box, report every candidate that cells yields, filter.
 
     cells(box, progress) is a generator over the normalized box that yields
     (n, x, y, A, B, k) for each coprime candidate of the mode and counts its
@@ -204,7 +205,8 @@ def _scan(
     the report both read that factorization.  In derived_k mode only, a
     q_threshold drops reports of lower known quality; with screen,
     candidates that quality_below proves below it are dropped before their
-    report is built.
+    report is built.  Each kept (solution, report) pair goes to sink as it
+    is found, in scan order; returns the cells scanned.
     """
     b = _normalized(box, mode)
     total = cell_count(b)
@@ -212,8 +214,7 @@ def _scan(
         raise BoxTooLarge(total, ceiling)
     threshold = b.q_threshold if mode == DERIVED_K else None
     screened = threshold if screen else None
-    out: list[tuple[Solution, GainReport]] = []
-    progress = _Progress(total, out)
+    progress = _Progress(total)
     for n, x, y, A, B, k in cells(b, progress):
         s = validate_solution(n, x, y, A, B, k)
         try:
@@ -228,9 +229,30 @@ def _scan(
             report = compute_gains(s, factorization=f)
         if threshold is not None and report.q is not None and report.q < threshold:
             continue
-        out.append((s, report))
+        progress.found += 1
+        sink((s, report))
+    return progress.scanned
+
+
+def _collect(
+    box: SearchBox, mode: str, ceiling: float, budget: int | None, cells, screen: bool = False
+) -> SearchResult:
+    """_scan into a list, sorted in the mode's output order."""
+    out: list[tuple[Solution, GainReport]] = []
+    scanned = _scan(box, mode, ceiling, budget, cells, out.append, screen)
     out.sort(key=_ORDER[mode])
-    return SearchResult(tuple(out), progress.scanned)
+    return SearchResult(tuple(out), scanned)
+
+
+def _scan_box(box: SearchBox, sink) -> int:
+    """enumerate_fixed_k's or hunt_derived_k's scan of box, with their defaults.
+
+    Each kept (solution, report) pair goes to sink, unsorted; returns the
+    cells scanned.  The CLI sorts rows itself, holding no report.
+    """
+    return _scan(
+        box, box.mode, DEFAULT_CELL_CEILING, None, _window_cells, sink, box.mode == DERIVED_K
+    )
 
 
 def _window(b: SearchBox) -> tuple[int, int | float, int]:
@@ -258,11 +280,15 @@ def _window_cells(b: SearchBox, progress: _Progress):
                 # y0 is the least y >= y_lo with B*y0^n >= A*x^n + k_lo, carried
                 # from x to x; 0 until the row's first x takes the root.  Once
                 # y0 has passed y_hi no later x has a candidate, and the rest
-                # of the row's cells are counted at once.
-                y0 = byn = 0
+                # of the row's cells are counted at once.  done counts the x
+                # finished but not yet advanced: they are advanced in one
+                # batch before the next yield and at the row's end, so every
+                # tick lands on the cell and solution counts that advancing
+                # per x would give.
+                y0 = byn = done = 0
                 for x in range(x_lo, x_hi + 1):
                     if y0 > y_hi:
-                        progress.advance(per_x, x_hi - x + 1)
+                        done += x_hi - x + 1
                         break
                     axn = A * x ** n
                     least = axn + k_lo
@@ -284,10 +310,15 @@ def _window_cells(b: SearchBox, progress: _Progress):
                         k = byn - axn
                         while y <= y_hi and k <= k_hi:
                             if gcd(ax, B * y, k) == 1:
+                                if done:
+                                    progress.advance(per_x, done)
+                                    done = 0
                                 yield n, x, y, A, B, k
                             y += 1
                             k = B * y ** n - axn
-                    progress.advance(per_x)
+                    done += 1
+                if done:
+                    progress.advance(per_x, done)
 
 
 def enumerate_fixed_k(
@@ -314,7 +345,7 @@ def enumerate_fixed_k(
     counts every (n, A, B, x, k) cell of the box.  hunt_derived_k runs
     the same scan.
     """
-    return _scan(box, FIXED_K, cell_ceiling, budget, _window_cells)
+    return _collect(box, FIXED_K, cell_ceiling, budget, _window_cells)
 
 
 def hunt_derived_k(
@@ -339,7 +370,7 @@ def hunt_derived_k(
     budget gets a partial report, which the threshold never drops.
     Output is sorted by descending q with canonical order breaking ties.
     """
-    return _scan(box, DERIVED_K, cell_ceiling, budget, _window_cells, screen=True)
+    return _collect(box, DERIVED_K, cell_ceiling, budget, _window_cells, screen=True)
 
 
 def _oracle_cells(b: SearchBox, progress: _Progress):
@@ -378,7 +409,7 @@ def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchRe
     and prints no progress.  Only intended for tests: a box of more than
     ORACLE_CELL_CEILING (10^7) (n, A, B, x, y) cells raises BoxTooLarge.
     """
-    return _scan(box, box.mode, inf, budget, _oracle_cells)
+    return _collect(box, box.mode, inf, budget, _oracle_cells)
 
 
 def split_box(box: SearchBox, parts: int, axis: str | None = None) -> tuple[SearchBox, ...]:

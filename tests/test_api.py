@@ -58,7 +58,7 @@ def test_version_matches_pyproject():
 
 
 @pytest.mark.parametrize(
-    "module", ["bigmath", "factor", "gains", "search", "corpus", "cli", "__main__"]
+    "module", ["bigmath", "factor", "gains", "search", "runs", "corpus", "cli", "__main__"]
 )
 def test_each_module_imports_first(module):
     run_fresh(f"import gainlab.{module}")
@@ -102,6 +102,15 @@ def test_no_command_loads_dataclasses(argv):
     # dataclasses would also load inspect, ast, dis and tokenize on every
     # launch; the records are named tuples so that no command loads them.
     assert {"dataclasses", "inspect"}.isdisjoint(loaded_after(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "2", "--x", "2:5", "--y", "2:5", "--A", "1", "--B", "1", "--k", "1:30"],
+    ["hunt", "--n", "2", "--x", "2:5", "--y", "2:5", "--A", "1", "--B", "1"],
+], ids=lambda argv: argv[0])
+def test_search_that_does_not_spill_loads_no_merge(argv):
+    # heapq loads with a search's first spill to its temporary file.
+    assert "heapq" not in loaded_after(argv)
 
 
 def test_traced_functions_exist():

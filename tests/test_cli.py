@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from gainlab import cli, gains
+from gainlab import cli, gains, runs
 from gainlab.bigmath import round_sig
 from gainlab.cli import (
     EXIT_INVALID,
@@ -784,3 +784,138 @@ class TestUnwritableStdout:
             )
         assert proc.returncode == EXIT_RESOURCE
         assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+# Boxes that the forced-spill tests run, with the environment each needs.
+# A zero budget leaves 40 of hunt-partial's 172 reports without q; in
+# hunt-tied-q, (x, A) = (3, 4) and (6, 1) give the same k and radical, so
+# rows tie on q exactly and sort by canonical key.
+SPILL_CASES = {
+    "search": (
+        ["search", "--n", "2:3", "--x", "2:40", "--y", "2:100", "--A", "1:3", "--B", "1:3",
+         "--k", "1:50"],
+        {},
+    ),
+    "hunt-partial": (
+        ["hunt", "--n", "9", "--x", "30:45", "--y", "30:45", "--A", "1:2", "--B", "1:2"],
+        {BUDGET_ENV_VAR: "0"},
+    ),
+    "hunt-tied-q": (
+        ["hunt", "--n", "2", "--x", "2:20", "--y", "2:30", "--A", "1:4", "--B", "1"],
+        {},
+    ),
+}
+
+
+class TestForcedSpills:
+    """A box whose rows spill in many sorted runs prints the unspilled bytes."""
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("case", list(SPILL_CASES))
+    def test_stdout_equals_the_unspilled_run(self, capsys, monkeypatch, case, fmt):
+        argv, env = SPILL_CASES[case]
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        # The row text held when each run spills, less the row that took it
+        # past the bound.
+        held = []
+        spill = runs.SortedRows._spill
+
+        def recorded(rows):
+            held.append(rows._size - len(rows._held[-1][-1]))
+            spill(rows)
+
+        monkeypatch.setattr(runs.SortedRows, "_spill", recorded)
+        code, unspilled, _ = run_cli(capsys, argv + ["--format", fmt])
+        assert code == EXIT_OK and held == []
+        monkeypatch.setattr(runs, "RUN_BYTES", len(unspilled) // 8)
+        code, out, _ = run_cli(capsys, argv + ["--format", fmt])
+        assert (code, out) == (EXIT_OK, unspilled)
+        assert len(held) >= 3
+        assert max(held) <= runs.RUN_BYTES
+
+    def test_hunt_cases_hold_partial_reports_and_exact_ties(self, monkeypatch):
+        from gainlab.search import DERIVED_K, SearchBox, hunt_derived_k
+
+        def hunt(argv):
+            ranges = {k: v for k, v in vars(parse_args(argv)).items() if k.endswith("_range")}
+            return hunt_derived_k(SearchBox(mode=DERIVED_K, **ranges)).solutions
+
+        monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+        qs = [g.q for _, g in hunt(SPILL_CASES["hunt-partial"][0])]
+        assert 0 < qs.count(None) < len(qs)
+        monkeypatch.delenv(BUDGET_ENV_VAR)
+        qs = [g.q for _, g in hunt(SPILL_CASES["hunt-tied-q"][0])]
+        assert len(set(qs)) < len(qs)
+
+
+# Runs main with a spill file that cannot be written: "create" makes the
+# temporary file raise, "write" gives one on /dev/full.
+SPILL_FAILURE = """
+import errno, os, sys, tempfile
+from gainlab import cli, runs
+
+def no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+if sys.argv[1] == "create":
+    tempfile.TemporaryFile = no_space
+else:
+    tempfile.TemporaryFile = lambda *args, **kwargs: open("/dev/full", "w+b")
+runs.RUN_BYTES = 1000
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+# Runs main with the run bound argv[1] and prints the peak RSS (VmHWM, in
+# kB) after import and at the end to stderr.
+MEMORY_GUARD = """
+import sys
+from gainlab import cli, runs
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+
+runs.RUN_BYTES = int(sys.argv[1])
+after_import = peak_kb()
+code = cli.main(sys.argv[2:])
+sys.stdout.flush()
+print(after_import, peak_kb(), file=sys.stderr)
+sys.exit(code)
+"""
+SURVEY_ARGS = [
+    "hunt", "--n", "2:5", "--x", "2:45", "--y", "2:45", "--A", "1:3", "--B", "1:2",
+    "--format", "json",
+]
+
+
+class TestSpillFile:
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("failing", ["create", "write"])
+    def test_unwritable_spill_file_exits_3(self, failing):
+        # The spill fails during the scan, before any row reaches stdout.
+        proc = subprocess.run(
+            [sys.executable, "-c", SPILL_FAILURE, failing] + SPILL_CASES["search"][0],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stdout == ""
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc")
+    def test_peak_rss_stays_near_the_import_peak(self):
+        # The survey box prints 5.4 MB, 82 times the bound; held as reports
+        # it peaked about 9.5 MB above the import.
+        bound = 64 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-c", MEMORY_GUARD, str(bound)] + SURVEY_ARGS,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK
+        assert len(proc.stdout) >= 20 * bound
+        after_import, peak = map(int, proc.stderr.split()[-2:])
+        assert peak - after_import < 4 * 1024

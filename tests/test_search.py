@@ -1,5 +1,7 @@
 """Box search: fixed-k enumeration, derived-k hunt, oracle equivalence."""
 
+import collections
+import contextlib
 import math
 import os
 import re
@@ -14,7 +16,7 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 import gainlab
-from gainlab import bigmath, cli, corpus, factor, gains, search
+from gainlab import bigmath, cli, corpus, factor, gains, runs, search
 from gainlab.bigmath import CTX, clear_ln_cache
 from gainlab.factor import BUDGET_ENV_VAR, factorize_product
 from gainlab.gains import check_solution, quality_below, validate_solution
@@ -884,7 +886,7 @@ class TestProgress:
         monkeypatch.setattr(search, "PROGRESS_INTERVAL", interval)
 
         def ticks(batched: bool) -> tuple[list[int], int]:
-            progress = search._Progress(10 ** 4, [])
+            progress = search._Progress(10 ** 4)
             for _ in range(lead):
                 progress.advance(cells)
             if batched:
@@ -898,6 +900,35 @@ class TestProgress:
         single = ticks(batched=False)
         assert ticks(batched=True) == single
         assert single[1] == (lead + times) * cells
+
+
+    @pytest.mark.parametrize(
+        "run, box, per_x",
+        [
+            # y stops at 30, so rows end early; k from 1 to 50.
+            (enumerate_fixed_k, fixed_box((2, 3), (2, 40), (2, 30), (1, 3), (1, 3), (1, 50)), 50),
+            (hunt_derived_k, derived_box((2, 3), (2, 30), (2, 30), (1, 2), (1, 2)), 29),
+        ],
+    )
+    def test_ticks_match_advancing_per_x(self, capsys, monkeypatch, run, box, per_x):
+        # Each tick's cell and solution counts, ignoring rate and ETA, are
+        # those of a _Progress advanced once per x, in scan order, after
+        # that x's solutions are counted.
+        monkeypatch.setattr(search, "PROGRESS_INTERVAL", 500)
+        tick = re.compile(r"progress: (\d+/\d+ cells, \d+ solutions), ")
+        found = collections.Counter((s.n, s.A, s.B, s.x) for s, _ in run(box).solutions)
+        got = tick.findall(capsys.readouterr().err)
+        progress = search._Progress(cell_count(box))
+        for n in range(box.n_range[0], box.n_range[1] + 1):
+            for A in range(box.A_range[0], box.A_range[1] + 1):
+                for B in range(box.B_range[0], box.B_range[1] + 1):
+                    for x in range(box.x_range[0], box.x_range[1] + 1):
+                        progress.found += found[n, A, B, x]
+                        progress.advance(per_x)
+        expected = tick.findall(capsys.readouterr().err)
+        assert got == expected
+        # Solutions are found between ticks, not only before the first.
+        assert len({t.split(", ")[1] for t in expected}) > 5
 
 
 class TestExhaustedRows:
@@ -927,3 +958,59 @@ class TestExhaustedRows:
         # Two cells per x: the tick falls where the per-x walk puts it.
         err = capsys.readouterr().err
         assert re.findall(r"progress: (\d+)/", err) == ["1000000"]
+
+
+# Coefficients of q: 64 digits, as a report's q has, or a few, as an exact
+# quotient may have.
+COEFFICIENTS = st.one_of(
+    st.sampled_from([10 ** 63, 10 ** 64 - 2]),
+    st.integers(10 ** 63, 10 ** 64 - 2),
+    st.integers(1, 10 ** 4),
+)
+SOLUTION_FIELDS = st.tuples(*[st.integers(1, 4)] * 6)
+
+
+class TestMergeKeys:
+    """Rows split into random runs, spilled and merged come out in search order."""
+
+    @staticmethod
+    def merged(data, row, items) -> list[str]:
+        cuts = set(data.draw(st.lists(st.integers(1, len(items)), max_size=6)))
+        # Few blocks per run put several rows in a block; few rows per
+        # render batch let add render some.
+        blocks, render_rows = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 8))
+        rows = runs.SortedRows(row, lambda s, g: repr(s))
+        with pytest.MonkeyPatch.context() as patch, contextlib.closing(rows):
+            patch.setattr(runs, "RUN_BLOCKS", blocks)
+            patch.setattr(runs, "RENDER_ROWS", render_rows)
+            for i, item in enumerate(items):
+                if i in cuts:
+                    rows._hold()
+                    rows._spill()
+                rows.add(item)
+            return [r[-1] for batch in rows.batches() for r in batch]
+
+    @given(st.data())
+    def test_hunt_keys(self, data):
+        # Each q comes with its neighbour in the 64th digit and with itself
+        # padded to 64 digits (an equal value), so ties are frequent.
+        pool = [None]
+        bases = st.lists(st.tuples(COEFFICIENTS, st.integers(-70, 4)), min_size=1, max_size=4)
+        for c, e in data.draw(bases):
+            pad = 64 - len(str(c))
+            pool += [Decimal(f"{c}E{e}"), Decimal(f"{c + 1}E{e}"),
+                     Decimal(f"{c * 10 ** pad}E{e - pad}")]
+        qs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        n = len(qs)
+        fields = data.draw(st.lists(SOLUTION_FIELDS, min_size=n, max_size=n, unique=True))
+        blank = gains.GainReport(*[None] * len(gains.GainReport._fields))
+        items = [(gains.Solution(*f), blank._replace(q=q)) for f, q in zip(fields, qs)]
+        expected = [repr(s) for s, _ in sorted(items, key=search._ORDER[DERIVED_K])]
+        assert self.merged(data, runs.hunt_row, items) == expected
+
+    @given(st.data())
+    def test_fixed_k_keys(self, data):
+        fields = data.draw(st.lists(SOLUTION_FIELDS, min_size=1, max_size=40, unique=True))
+        items = [(gains.Solution(*f), None) for f in fields]
+        expected = [repr(s) for s, _ in sorted(items, key=search._ORDER[FIXED_K])]
+        assert self.merged(data, runs.search_row, items) == expected
