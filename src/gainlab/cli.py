@@ -345,20 +345,17 @@ def _run_bounds(args: argparse.Namespace) -> None:
 
 
 def _run_box(args: argparse.Namespace) -> None:
-    from .runs import SortedRows, hunt_row, search_row
-    from .search import DERIVED_K, FIXED_K, SearchBox, _scan_box
+    from .runs import SortedRows
+    from .search import _ORDER, DERIVED_K, FIXED_K, SearchBox, _scan_box
 
-    fixed = args.command == "search"
     box = SearchBox(
-        mode=FIXED_K if fixed else DERIVED_K,
+        mode=FIXED_K if args.command == "search" else DERIVED_K,
         q_threshold=args.q_threshold,
         require_nontrivial=not args.allow_trivial_x,
         **{dest: rng for dest, rng in vars(args).items() if dest.endswith("_range")},
     )
     fmt, write, render = args.output_format, sys.stdout.write, _SEARCH_LAYOUT.render
-    rows = SortedRows(
-        search_row if fixed else hunt_row, lambda s, g: render(fmt, solution_report(s, g))
-    )
+    rows = SortedRows(_ORDER[box.mode], lambda s, g: render(fmt, solution_report(s, g)))
     try:
         t0 = perf_counter()
         cells = _scan_box(box, rows.add)

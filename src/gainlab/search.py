@@ -24,7 +24,7 @@ from math import gcd, inf
 from time import perf_counter
 from typing import NamedTuple
 
-from .bigmath import int_text, nth_root_floor
+from .bigmath import CTX, LN_PRECISION, int_text, nth_root_floor
 from .factor import FactorBudgetExceeded, factorize_product
 from .gains import (
     PARAM_FLOORS,
@@ -176,20 +176,28 @@ class _Progress:
         self.scanned = end
 
 
-def _hunt_order(item: tuple[Solution, GainReport]):
+# q of a report is positive with at most LN_PRECISION digits, so its
+# adjusted exponent e and its coefficient scaled to LN_PRECISION digits, c
+# (below _Q_SCALE), give e * _Q_SCALE + c, one int that rises with q exactly.
+_Q_SCALE = 10 ** LN_PRECISION
+
+
+def _hunt_key(item: tuple[Solution, GainReport]) -> tuple:
     s, g = item
-    # Unknown quality (budget-exceeded partial reports) sorts after every
-    # known quality; canonical order breaks the remaining ties.  copy_negate
-    # is exact, where -q would round in the caller's decimal context.
-    if g.q is None:
-        return (1, Decimal(0), s.canonical_key())
-    return (0, g.q.copy_negate(), s.canonical_key())
+    q = g.q
+    if q is None:
+        return (inf, *s.canonical_key())
+    e = q.adjusted()
+    return (-e * _Q_SCALE - int(q.scaleb(LN_PRECISION - 1 - e, CTX)), *s.canonical_key())
 
 
-# Output order of each mode: canonical for fixed_k, best quality first for derived_k.
+# Output order of each mode, as a row key of plain numbers, which marshal
+# stores as is: canonical for fixed_k; for derived_k best quality first
+# (q negated), then every partial report (unknown q, inf), with canonical
+# order breaking ties.  No two solutions share a key.
 _ORDER = {
     FIXED_K: lambda item: item[0].canonical_key(),
-    DERIVED_K: _hunt_order,
+    DERIVED_K: _hunt_key,
 }
 
 
@@ -447,12 +455,12 @@ def merge_results(results, mode: str) -> SearchResult:
     Ordering matches a single-box run of the given mode exactly; cell
     counts add.
     """
+    if mode not in _ORDER:
+        raise ValueError(f"unknown mode {mode!r}")
     merged: list[tuple[Solution, GainReport]] = []
     cells = 0
     for r in results:
         merged.extend(r.solutions)
         cells += r.cells_scanned
-    if mode not in _ORDER:
-        raise ValueError(f"unknown mode {mode!r}")
     merged.sort(key=_ORDER[mode])
     return SearchResult(tuple(merged), cells)

@@ -109,7 +109,7 @@ def test_no_command_loads_dataclasses(argv):
     ["hunt", "--n", "2", "--x", "2:5", "--y", "2:5", "--A", "1", "--B", "1"],
 ], ids=lambda argv: argv[0])
 def test_search_that_does_not_spill_loads_no_merge(argv):
-    # heapq loads with a search's first spill to its temporary file.
+    # heapq loads only to merge the runs a search spilled to its temporary file.
     assert "heapq" not in loaded_after(argv)
 
 

@@ -807,18 +807,31 @@ SPILL_CASES = {
 }
 
 
+def spill_case(monkeypatch, case) -> list[str]:
+    """SPILL_CASES[case]'s argv, with its environment set."""
+    argv, env = SPILL_CASES[case]
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    return argv
+
+
+def library_solutions(argv):
+    """The library's (solution, report) pairs for a CLI box, in its order."""
+    from gainlab.search import DERIVED_K, FIXED_K, SearchBox, enumerate_fixed_k, hunt_derived_k
+
+    ranges = {k: v for k, v in vars(parse_args(argv)).items() if k.endswith("_range")}
+    if argv[0] == "search":
+        return enumerate_fixed_k(SearchBox(mode=FIXED_K, **ranges)).solutions
+    return hunt_derived_k(SearchBox(mode=DERIVED_K, **ranges)).solutions
+
+
 class TestForcedSpills:
     """A box whose rows spill in many sorted runs prints the unspilled bytes."""
 
-    @pytest.mark.parametrize("fmt", cli.FORMATS)
-    @pytest.mark.parametrize("case", list(SPILL_CASES))
-    def test_stdout_equals_the_unspilled_run(self, capsys, monkeypatch, case, fmt):
-        argv, env = SPILL_CASES[case]
-        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-        # The row text held when each run spills, less the row that took it
-        # past the bound.
+    @staticmethod
+    def record_spills(monkeypatch) -> list[int]:
+        """The row text held when each run spills, less the row that took it past the bound."""
         held = []
         spill = runs.SortedRows._spill
 
@@ -827,6 +840,13 @@ class TestForcedSpills:
             spill(rows)
 
         monkeypatch.setattr(runs.SortedRows, "_spill", recorded)
+        return held
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("case", list(SPILL_CASES))
+    def test_stdout_equals_the_unspilled_run(self, capsys, monkeypatch, case, fmt):
+        argv = spill_case(monkeypatch, case)
+        held = self.record_spills(monkeypatch)
         code, unspilled, _ = run_cli(capsys, argv + ["--format", fmt])
         assert code == EXIT_OK and held == []
         monkeypatch.setattr(runs, "RUN_BYTES", len(unspilled) // 8)
@@ -835,18 +855,28 @@ class TestForcedSpills:
         assert len(held) >= 3
         assert max(held) <= runs.RUN_BYTES
 
+    @pytest.mark.parametrize("case", list(SPILL_CASES))
+    def test_rows_come_in_the_library_order(self, capsys, monkeypatch, case):
+        # The CLI sorts rows it renders, the library the pairs it returns:
+        # unspilled and spilled, the JSON rows list the library's solutions
+        # in the library's order.
+        argv = spill_case(monkeypatch, case) + ["--format", "json"]
+        expected = [
+            [str(getattr(s, name)) for name in "nxyABk"] for s, _ in library_solutions(argv)
+        ]
+        held = self.record_spills(monkeypatch)
+        outputs = [run_cli(capsys, argv)[1]]
+        monkeypatch.setattr(runs, "RUN_BYTES", len(outputs[0]) // 8)
+        outputs.append(run_cli(capsys, argv)[1])
+        assert len(held) >= 3
+        for out in outputs:
+            rows = json.loads(out)["solutions"]
+            assert [[r["solution"][name] for name in "nxyABk"] for r in rows] == expected
+
     def test_hunt_cases_hold_partial_reports_and_exact_ties(self, monkeypatch):
-        from gainlab.search import DERIVED_K, SearchBox, hunt_derived_k
-
-        def hunt(argv):
-            ranges = {k: v for k, v in vars(parse_args(argv)).items() if k.endswith("_range")}
-            return hunt_derived_k(SearchBox(mode=DERIVED_K, **ranges)).solutions
-
-        monkeypatch.setenv(BUDGET_ENV_VAR, "0")
-        qs = [g.q for _, g in hunt(SPILL_CASES["hunt-partial"][0])]
+        qs = [g.q for _, g in library_solutions(spill_case(monkeypatch, "hunt-partial"))]
         assert 0 < qs.count(None) < len(qs)
-        monkeypatch.delenv(BUDGET_ENV_VAR)
-        qs = [g.q for _, g in hunt(SPILL_CASES["hunt-tied-q"][0])]
+        qs = [g.q for _, g in library_solutions(spill_case(monkeypatch, "hunt-tied-q"))]
         assert len(set(qs)) < len(qs)
 
 

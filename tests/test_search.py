@@ -529,8 +529,13 @@ class TestPartition:
             split_box(spec_fixed_box(), 0)
 
     def test_merge_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            merge_results([], "diagonal")
+        def unread():
+            pytest.fail("results were read before the mode was checked")
+            yield
+
+        for results in ([], unread()):
+            with pytest.raises(ValueError, match="mode"):
+                merge_results(results, "diagonal")
 
     def test_merge_adds_accounting(self):
         box = spec_fixed_box()
@@ -970,16 +975,28 @@ COEFFICIENTS = st.one_of(
 SOLUTION_FIELDS = st.tuples(*[st.integers(1, 4)] * 6)
 
 
+def paper_order(item):
+    """A hunt's output order spelled out in Decimals, apart from search._ORDER.
+
+    Best quality first (copy_negate is exact, where -q would round), every
+    partial report after every known q, canonical order breaking ties.
+    """
+    s, g = item
+    if g.q is None:
+        return (True, Decimal(0), s.canonical_key())
+    return (False, g.q.copy_negate(), s.canonical_key())
+
+
 class TestMergeKeys:
     """Rows split into random runs, spilled and merged come out in search order."""
 
     @staticmethod
-    def merged(data, row, items) -> list[str]:
+    def merged(data, mode, items) -> list[str]:
         cuts = set(data.draw(st.lists(st.integers(1, len(items)), max_size=6)))
         # Few blocks per run put several rows in a block; few rows per
         # render batch let add render some.
         blocks, render_rows = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 8))
-        rows = runs.SortedRows(row, lambda s, g: repr(s))
+        rows = runs.SortedRows(search._ORDER[mode], lambda s, g: repr(s))
         with pytest.MonkeyPatch.context() as patch, contextlib.closing(rows):
             patch.setattr(runs, "RUN_BLOCKS", blocks)
             patch.setattr(runs, "RENDER_ROWS", render_rows)
@@ -1005,12 +1022,12 @@ class TestMergeKeys:
         fields = data.draw(st.lists(SOLUTION_FIELDS, min_size=n, max_size=n, unique=True))
         blank = gains.GainReport(*[None] * len(gains.GainReport._fields))
         items = [(gains.Solution(*f), blank._replace(q=q)) for f, q in zip(fields, qs)]
-        expected = [repr(s) for s, _ in sorted(items, key=search._ORDER[DERIVED_K])]
-        assert self.merged(data, runs.hunt_row, items) == expected
+        expected = [repr(s) for s, _ in sorted(items, key=paper_order)]
+        assert self.merged(data, DERIVED_K, items) == expected
 
     @given(st.data())
     def test_fixed_k_keys(self, data):
         fields = data.draw(st.lists(SOLUTION_FIELDS, min_size=1, max_size=40, unique=True))
         items = [(gains.Solution(*f), None) for f in fields]
-        expected = [repr(s) for s, _ in sorted(items, key=search._ORDER[FIXED_K])]
-        assert self.merged(data, runs.search_row, items) == expected
+        expected = [repr(s) for s, _ in sorted(items, key=lambda item: item[0].canonical_key())]
+        assert self.merged(data, FIXED_K, items) == expected
