@@ -141,7 +141,7 @@ def _ln_fill(v: int) -> tuple[int, int]:
     if v == 1:
         result = (0, 0)
     elif v <= _RECURRENCE_LIMIT:
-        value, err = _ln_sum(factor.factorize(v - 1).factors)[:2]
+        value, err = ln_sums(factor.factorize(v - 1).factors)[:2]
         result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
     else:
         # Decimal converts any int exactly and ln() is correctly rounded;
@@ -154,16 +154,25 @@ def _ln_fill(v: int) -> tuple[int, int]:
     return result
 
 
-def _ln_sum(factors) -> tuple[int, int, int, int]:
-    """Sums of e*ln_cached(q), then of ln_cached(q), over ((q, e), ...), values and bounds."""
+def ln_sums(factors, *parts) -> tuple[int, int, int, int, int]:
+    """Over ((q, e), ...): sums of e*ln_cached(q) and ln_cached(q), values and bounds, and prod q.
+
+    Each of parts, which starts with these five for primes not in factors,
+    is added in.
+    """
     value = err = r_value = r_err = 0
+    radical = 1
     for q, e in factors:
-        v, d = ln_cached(q)
+        v, d = _ln_cache.get(q) or ln_cached(q)
         value += e * v
         err += e * d
         r_value += v
         r_err += d
-    return value, err, r_value, r_err
+        radical *= q
+    for v, d, rv, rd, r, *_ in parts:
+        value, err, r_value, r_err = value + v, err + d, r_value + rv, r_err + rd
+        radical *= r
+    return value, err, r_value, r_err, radical
 
 
 def _two_atanh_inv(m: int) -> int:
@@ -191,7 +200,7 @@ def ln_product(terms) -> Decimal:
     """ln(prod b**e) correctly rounded to LN_PRECISION digits.
 
     terms is a sequence of (b, e) with integers b >= 1 and e >= 0, typically
-    a prime factorization.  It is _ln_sum's first sum, of e*ln(b) over the
+    a prime factorization.  It is ln_sums' first sum, of e*ln(b) over the
     cached logs with its error bound, and then _ln_rounded, a rounding test
     that returns the sum only when it proves it equal to the correctly
     rounded log; otherwise the log is taken directly (ln_exact).
@@ -233,15 +242,15 @@ def ln_product(terms) -> Decimal:
     of the time: unit is at least 10**16, and E is a few hundred units for
     a search's logs.
 
-    ln_power_and_radical reads both sums of _ln_sum, of a factorization
+    ln_power_and_radical reads both sums of ln_sums, of a factorization
     and of its radical, and ends each in the same _ln_rounded test.
     """
-    result = _ln_rounded(*_ln_sum(terms)[:2])
+    result = _ln_rounded(*ln_sums(terms)[:2])
     return ln_exact(math.prod(b ** e for b, e in terms)) if result is None else result
 
 
 def _ln_rounded(value: int, err: int) -> Decimal | None:
-    """The rounding test of ln_product on one pair of _ln_sum, V = value and E = err.
+    """The rounding test of ln_product on one pair of ln_sums, V = value and E = err.
 
     Returns the LN_PRECISION-digit log the test proves, or None when it
     fails and the caller must take the log directly.
@@ -258,14 +267,13 @@ def _ln_rounded(value: int, err: int) -> Decimal | None:
     return None
 
 
-def ln_power_and_radical(factors, P: int, R: int) -> tuple[Decimal, Decimal]:
-    """(ln P, ln R) for P = prod p**e over factors ((p, e), ...) and R = prod p.
+def ln_power_and_radical(sums, P: int) -> tuple[Decimal, Decimal]:
+    """(ln P, ln R) from sums = ln_sums(factors), for P = prod p**e and R = prod p.
 
-    Equal to (ln_product(factors), ln_product(((p, 1), ...))), from the two
-    sums of one _ln_sum; a sum that fails the rounding test is taken
-    directly from P or R.
+    Equal to (ln_product(factors), ln_product(((p, 1), ...))); a sum that
+    fails the rounding test is taken directly from P or R.
     """
-    value, err, r_value, r_err = _ln_sum(factors)
+    value, err, r_value, r_err, R = sums
     ln_p, ln_r = _ln_rounded(value, err), _ln_rounded(r_value, r_err)
     return ln_exact(P) if ln_p is None else ln_p, ln_exact(R) if ln_r is None else ln_r
 

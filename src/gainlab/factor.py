@@ -338,6 +338,7 @@ def factorize_product(components: tuple[int, ...] | list[int], budget: int | Non
     is checked first: True and 2.0 would find the entries of 1 and 2).
     budget bounds the rho iterations of all components together; when it
     runs out, FactorBudgetExceeded names the component being factored.
+    A single component's factorization is returned as it is.
     """
     counts: dict[int, int] = {}
     tracker = _Budget(budget)
@@ -346,6 +347,8 @@ def factorize_product(components: tuple[int, ...] | list[int], budget: int | Non
             f = _cache.get(c) or _cache.setdefault(c, factorize(c))
         else:
             f = _factorize(c, tracker)
+        if len(components) == 1:
+            return f
         for p, e in f.factors:
             counts[p] = counts.get(p, 0) + e
     return Factorization(tuple(sorted(counts.items())), True)

@@ -30,7 +30,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .bigmath import (
-    CTX, LN_PRECISION, int_text, ln_exact, ln_power_and_radical, ln_product, require_int,
+    CTX, LN_PRECISION, int_text, ln_exact, ln_power_and_radical, ln_product, ln_sums,
+    require_int,
 )
 from .factor import Factorization, factorize_product
 
@@ -275,6 +276,20 @@ BOUND_FIELDS = (
 )
 
 
+@lru_cache(maxsize=4096)
+def shared_part(components: tuple[int, ...]) -> tuple | None:
+    """ln_sums of prod(components), then the sum of math.log(p) and the count of its primes.
+
+    None if a component is 10**8 or more: trial division settles smaller
+    ones with no rho step, so a part is the same under any budget, and one
+    evicted from the memo is taken again to the same value.
+    """
+    if max(components) >= 10 ** 8:
+        return None
+    factors = factorize_product(components).factors
+    return (*ln_sums(factors), sum(math.log(p) for p, _ in factors), len(factors))
+
+
 @lru_cache(maxsize=None)
 def _fixed_cap_bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
     """(ln C, D, ga_min, gp_max_strong, gp_max_ultra, k1_q_bound), C = B*y^n."""
@@ -303,7 +318,7 @@ def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> d
     return dict(zip(BOUND_FIELDS, (ga_min, ga_min, strong, ultra, custom, k1)))
 
 
-def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | None) -> GainReport:
+def _build_report(s: Solution, sums: tuple | None, q_max_custom: QMax | None) -> GainReport:
     n, y, A, B = s.n, s.y, s.A, s.B
     P = s.x * y * A * B * s.k
     if P == 1:
@@ -313,12 +328,12 @@ def _build_report(s: Solution, f: Factorization | None, q_max_custom: QMax | Non
     # validate_solution has checked the parameters that bound_fields would.
     ln_c, d, ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
     custom = None if q_max_custom is None else _gp_cap(n, d, q_max_custom)
-    if f is None:
+    if sums is None:
         R = g_p = q = None
         ln_p = ln_exact(P)
     else:
-        R = f.radical()
-        ln_p, ln_r = ln_power_and_radical(f.factors, P, R)
+        R = sums[4]
+        ln_p, ln_r = ln_power_and_radical(sums, P)
         g_p = CTX.divide(ln_p, ln_r)
         q = CTX.divide(ln_c, ln_r)
     return GainReport(
@@ -333,6 +348,7 @@ def compute_gains(
     budget: int | None = None,
     q_max_custom: QMax | None = None,
     factorization: Factorization | None = None,
+    sums: tuple | None = None,
 ) -> GainReport:
     """Full GainReport for a valid Solution.
 
@@ -340,36 +356,39 @@ def compute_gains(
     the q = G_a*G_p identity stays a genuine cross-check downstream.
     ln P and ln R are sums of cached prime logs, held as integers at scale
     10**80 with proven error bounds, and both are taken in one pass over
-    the factorization (bigmath.ln_power_and_radical); each sum ends in one
-    integer rounding test (see bigmath.ln_product).  ln C = ln(B*y^n) is
-    taken once per (n, A, B, y) with D and the bound fields, and read here.
-    A caller that has already factored the tuple passes
-    factorization = factorize_product((x, y, A, B, k)) and gets the same
-    report.  Otherwise x, y, A, B and k are factored one at a time within
-    one shared budget, so one report spends at most that budget.
+    the factorization (bigmath.ln_sums); each sum ends in one integer
+    rounding test (see bigmath.ln_product).  ln C = ln(B*y^n) is taken
+    once per (n, A, B, y) with D and the bound fields, and read here.
+    A caller that has already factored the tuple passes factorization =
+    factorize_product((x, y, A, B, k)), or its ln_sums added up by coprime
+    part as sums, and gets the same report.  Otherwise x, y, A, B and k
+    are factored one at a time within one shared budget, so one report
+    spends at most that budget.
     Raises FactorBudgetExceeded if the radical cannot be completed.
     """
-    if factorization is None:
-        factorization = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
-    return _build_report(s, factorization, q_max_custom)
+    if sums is None:
+        f = factorization or factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
+        sums = ln_sums(f.factors)
+    return _build_report(s, sums, q_max_custom)
 
 
 # Relative error bound of one math.log of an int >= 2 (see quality_below).
 _LOG_ERR = 2.0 ** -51
 
 
-def quality_below(s: Solution, threshold: Decimal, factorization: Factorization) -> bool:
+def quality_below(s: Solution, threshold: Decimal, factorization: Factorization, *parts) -> bool:
     """True only if s's 64-digit quality q is proven below threshold.
 
     A float screen for threshold hunts, run before any 64-digit log.  It
-    takes factorization = factorize_product((x, y, A, B, k)), the one
-    factorization that compute_gains then reports from, and tests
+    takes factorization = factorize_product((x, y, A, B, k)), or that of
+    some coprime parts of P with the others' shared_part values, as the
+    report's ln_sums then reads them, and tests
 
         ln C < t * ln R * (1 - margin),   margin = (m + 16) * 2**-52,
 
-    with ln C = log(B) + n*log(y), ln R the sum of log(p) over the m primes
-    of P, every log taken by math.log, and t = float(threshold).  It
-    rejects nothing when t is inf, nan or at most 0, or when ln R is 0:
+    with ln C = log(B) + n*log(y), ln R the sum of log(p) over the m
+    primes of P, every log taken by math.log, and t = float(threshold).
+    It rejects nothing when t is inf, nan or at most 0, or when ln R is 0:
     the right side is then inf, nan or at most 0.
 
     Proof that a rejected tuple has q < threshold.  Let u = 2**-53, the
@@ -383,7 +402,8 @@ def quality_below(s: Solution, threshold: Decimal, factorization: Factorization)
     is nonnegative, so no cancellation amplifies the errors: the computed
     ln C is at least ln C*(1-4u)*(1-u)**2 (two logs, a product by n, a
     sum); the computed ln R is at most ln R*(1+4u)*(1+u)**(m-1) (m logs,
-    m-1 sums), and a compensated sum stays within that to first order; t
+    m-1 sums, in any order: by part, then the parts' sums), and a
+    compensated sum stays within that to first order; t
     is at most threshold*(1+u) when it is a normal float, float(Decimal)
     being correctly rounded; and 1 - margin and the two products add three
     roundings.  If the test holds, the right side lies between the
@@ -396,9 +416,10 @@ def quality_below(s: Solution, threshold: Decimal, factorization: Factorization)
     is below threshold too: compute_gains' report would have been dropped.
     """
     primes = factorization.factors
-    ln_r = sum(math.log(p) for p, _ in primes)
+    ln_r = sum(math.log(p) for p, _ in primes) + sum(part[5] for part in parts)
+    m = len(primes) + sum(part[6] for part in parts)
     ln_c = math.log(s.B) + s.n * math.log(s.y)
-    bound = float(threshold) * ln_r * (1.0 - (len(primes) + 16) * 2.0 ** -52)
+    bound = float(threshold) * ln_r * (1.0 - (m + 16) * 2.0 ** -52)
     return ln_c < bound < math.inf
 
 

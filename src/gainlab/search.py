@@ -24,7 +24,7 @@ from math import gcd, inf
 from time import perf_counter
 from typing import NamedTuple
 
-from .bigmath import CTX, LN_PRECISION, int_text, nth_root_floor
+from .bigmath import CTX, LN_PRECISION, int_text, ln_sums, nth_root_floor
 from .factor import FactorBudgetExceeded, factorize_product
 from .gains import (
     PARAM_FLOORS,
@@ -33,6 +33,7 @@ from .gains import (
     compute_gains,
     compute_gains_partial,
     quality_below,
+    shared_part,
     validate_solution,
 )
 
@@ -209,8 +210,12 @@ def _scan(
 
     cells(box, progress) is a generator over the normalized box that yields
     (n, x, y, A, B, k) for each coprime candidate of the mode and counts its
-    cells on progress.  Each candidate is factored once, and the screen and
-    the report both read that factorization.  In derived_k mode only, a
+    cells on progress.  A hunt's candidate factors k, within the budget, and
+    adds the memoized sums of P's other coprime parts, A*x and B*y
+    (gains.shared_part), as its x and y recur over windows of candidates.
+    When one of them may need rho, or in fixed_k mode, whose x and y come
+    about once each, it factors x, y, A, B and k.  The screen and the
+    report read the same factors and parts.  In derived_k mode only, a
     q_threshold drops reports of lower known quality; with screen,
     candidates that quality_below proves below it are dropped before their
     report is built.  Each kept (solution, report) pair goes to sink as it
@@ -223,18 +228,21 @@ def _scan(
     threshold = b.q_threshold if mode == DERIVED_K else None
     screened = threshold if screen else None
     progress = _Progress(total)
+    hunt = mode == DERIVED_K
     for n, x, y, A, B, k in cells(b, progress):
         s = validate_solution(n, x, y, A, B, k)
+        parts = (shared_part((x, A)), shared_part((y, B))) if hunt else (None,)
+        own, parts = ((x, y, A, B, k), ()) if None in parts else ((k,), parts)
         try:
-            f = factorize_product((x, y, A, B, k), budget=budget)
+            f = factorize_product(own, budget=budget)
         except FactorBudgetExceeded:
             # The solution itself is exact; only radical-dependent fields are
             # unavailable, and they are reported as such rather than dropped.
             report = compute_gains_partial(s)
         else:
-            if screened is not None and quality_below(s, screened, f):
+            if screened is not None and quality_below(s, screened, f, *parts):
                 continue
-            report = compute_gains(s, factorization=f)
+            report = compute_gains(s, sums=ln_sums(f.factors, *parts))
         if threshold is not None and report.q is not None and report.q < threshold:
             continue
         progress.found += 1
@@ -371,10 +379,10 @@ def hunt_derived_k(
     requirement) are counted in cells_scanned, one y-width of cells per
     x, but never visited.  The coprimality gate is exact, and an
     optional q_threshold keeps only solutions with q >= threshold.  With
-    a threshold every coprime tuple is still factored, but only those
-    that the proven float screen (gains.quality_below) does not place
-    below the threshold get 64-digit logs and a report; the exact
-    comparison then decides.  A tuple whose factorization exceeds the
+    a threshold the k of every coprime tuple is still factored (_scan
+    shares the rest), but only the tuples that the proven float screen
+    (gains.quality_below) does not place below the threshold get 64-digit
+    logs and a report; the exact comparison then decides.  A tuple whose factorization exceeds the
     budget gets a partial report, which the threshold never drops.
     Output is sorted by descending q with canonical order breaking ties.
     """

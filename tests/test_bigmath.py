@@ -23,6 +23,7 @@ from gainlab.bigmath import (
     ln_cached,
     ln_power_and_radical,
     ln_product,
+    ln_sums,
     nth_root_floor,
     round_sig,
 )
@@ -253,7 +254,14 @@ class TestLnProduct:
     def test_power_and_radical_in_one_pass(self, terms):
         P = math.prod(p ** e for p, e in terms)
         R = math.prod(p for p, _ in terms)
-        ln_p, ln_r = ln_power_and_radical(terms, P, R)
+        # The sums of two factorizations with no prime in common add to
+        # those of their merged factorization.
+        cut = len(terms) // 2
+        (v, e, rv, re, r), (v2, e2, rv2, re2, r2) = ln_sums(terms[:cut]), ln_sums(terms[cut:])
+        sums = ln_sums(terms)
+        assert (v + v2, e + e2, rv + rv2, re + re2, r * r2) == sums and sums[4] == R
+        assert ln_sums(terms[:cut], ln_sums(terms[cut:])) == sums
+        ln_p, ln_r = ln_power_and_radical(sums, P)
         assert str(ln_p) == str(ln_product(terms))
         assert str(ln_r) == str(ln_product(tuple((p, 1) for p, _ in terms)))
 
@@ -265,7 +273,7 @@ class TestLnProduct:
         terms = ((10 ** 9 + 7, 40), (HARD_PRIME, 2))
         P, R = (10 ** 9 + 7) ** 40 * HARD_PRIME ** 2, (10 ** 9 + 7) * HARD_PRIME
         try:
-            ln_p, ln_r = ln_power_and_radical(terms, P, R)
+            ln_p, ln_r = ln_power_and_radical(ln_sums(terms), P)
         finally:
             clear_ln_cache()
         assert counted_fallbacks == [P, R]
