@@ -166,8 +166,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 def _display(value: Decimal | None) -> str | None:
     if value is None:
         return None
-    # format(..., "f") keeps plain decimal notation at any magnitude.
-    return format(round_sig(value, DISPLAY_DIGITS), "f")
+    r = round_sig(value, DISPLAY_DIGITS)
+    # format(r, "f") is plain decimal at any magnitude; the faster str gives
+    # the same text while r's exponent is <= 0 and adjusted exponent >= -6.
+    return str(r) if -6 <= r.adjusted() < DISPLAY_DIGITS else format(r, "f")
 
 
 # A row value is a str, an int (a count), None, True or False.  In JSON a

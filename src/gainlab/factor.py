@@ -6,8 +6,9 @@ below psi_13 = 3.3e24, a probable-prime test above), then exact
 perfect-power roots, then Brent-cycle Pollard rho under an iteration
 budget.  Trial division takes the gcd of the value with the product of
 each of three blocks of those primes (Bernstein, "How to find smooth
-parts of integers", 2004), stops at the first block whose least prime
-squared exceeds the value, and divides only by the primes of those gcds.
+parts of integers", 2004), divides out the primes of each gcd as it finds
+them, and stops at the first block whose least prime squared exceeds what
+is left of the value.
 A blown budget is always a reported error carrying the partial result,
 never a silently incomplete radical: a wrong radical would corrupt every
 gain value computed from it.
@@ -232,31 +233,6 @@ def _prime_index_root(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _small_prime_divisors(v: int) -> list[int]:
-    """The primes that divide v from every block whose least prime p has p*p <= v.
-
-    v has no other prime factor below the least prime of the first block
-    left out, so once they are divided out, the rest of v is 1, a prime or
-    free of factors below _TRIAL_LIMIT.  The gcd with a block's product
-    leaves g, a product of distinct primes of the block, so only g is trial
-    divided; whatever is left of g once p*p exceeds it is 1 or a prime.
-    """
-    out = []
-    for least, product, block in _PRIME_BLOCKS:
-        if least * least > v:
-            break
-        g = math.gcd(v, product)
-        for p in block:
-            if p * p > g:
-                break
-            if g % p == 0:
-                g //= p
-                out.append(p)
-        if g > 1:
-            out.append(g)
-    return out
-
-
 def resolve_budget(budget: int | None = None) -> int:
     """budget, else the GAINLAB_FACTOR_BUDGET setting (ValueError if bad), else 10**8."""
     if budget is not None:
@@ -291,15 +267,31 @@ def _factorize(v: int, tracker: _Budget) -> Factorization:
         raise ValueError("factorize expects an integer >= 1")
     counts: dict[int, int] = {}
     rem = v
-    for p in _small_prime_divisors(v):
-        e = 0
-        while rem % p == 0:
+    # Each block's primes are divided out of rem as its gcd finds them, and
+    # the next block is tested and gcd'd against what is left.  The gcd g is
+    # a product of distinct primes of the block, so only g is trial divided.
+    for least, product, block in _PRIME_BLOCKS:
+        if least * least > rem:
+            break
+        g = math.gcd(rem, product)
+        for p in block:
+            if g == 1:
+                break
+            if p * p > g:
+                p = g  # what is left of g is a prime
+            elif g % p:
+                continue
+            g //= p
             rem //= p
-            e += 1
-        counts[p] = e
+            e = 1
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            counts[p] = e
     if rem > 1:
+        # rem has no prime factor below the least prime of the first block
+        # left out (or below _TRIAL_LIMIT), so it is prime below its square.
         if rem < _TRIAL_LIMIT * _TRIAL_LIMIT:
-            # No prime factor below its square root exists, so rem is prime.
             counts[rem] = 1
         else:
             tracker.start()

@@ -325,7 +325,7 @@ def _build_report(s: Solution, sums: tuple | None, q_max_custom: QMax | None) ->
         # Unreachable for a valid Solution (y >= 2), but the ratio would be
         # 0/0 and must never be silently produced.
         raise ValueError("degenerate denominator: x*y*A*B*k = 1")
-    # validate_solution has checked the parameters that bound_fields would.
+    # A Solution holds ints at or above their floors, as bound_fields checks.
     ln_c, d, ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
     custom = None if q_max_custom is None else _gp_cap(n, d, q_max_custom)
     if sums is None:

@@ -208,15 +208,16 @@ def _scan(
 ) -> int:
     """Validate the box, report every candidate that cells yields, filter.
 
-    cells(box, progress) is a generator over the normalized box that yields
-    (n, x, y, A, B, k) for each coprime candidate of the mode and counts its
-    cells on progress.  A hunt's candidate factors k, within the budget, and
-    adds the memoized sums of P's other coprime parts, A*x and B*y
-    (gains.shared_part), as its x and y recur over windows of candidates.
-    When one of them may need rho, or in fixed_k mode, whose x and y come
-    about once each, it factors x, y, A, B and k.  The screen and the
-    report read the same factors and parts.  In derived_k mode only, a
-    q_threshold drops reports of lower known quality; with screen,
+    cells(box, progress) yields a Solution for each coprime candidate of
+    the normalized box, proven where it is found (_window_cells) or
+    validated (_oracle_cells), and counts its cells on progress; _scan
+    checks no invariant again.  A hunt's candidate factors k, within the
+    budget, and adds the memoized sums of P's other coprime parts, A*x and
+    B*y (gains.shared_part), as its x and y recur over windows of
+    candidates.  When one of them may need rho, or in fixed_k mode, whose
+    x and y come about once each, it factors x, y, A, B and k.  The screen
+    and the report read the same factors and parts.  In derived_k mode
+    only, a q_threshold drops reports of lower known quality; with screen,
     candidates that quality_below proves below it are dropped before their
     report is built.  Each kept (solution, report) pair goes to sink as it
     is found, in scan order; returns the cells scanned.
@@ -229,8 +230,8 @@ def _scan(
     screened = threshold if screen else None
     progress = _Progress(total)
     hunt = mode == DERIVED_K
-    for n, x, y, A, B, k in cells(b, progress):
-        s = validate_solution(n, x, y, A, B, k)
+    for s in cells(b, progress):
+        _, x, y, A, B, k = s
         parts = (shared_part((x, A)), shared_part((y, B))) if hunt else (None,)
         own, parts = ((x, y, A, B, k), ()) if None in parts else ((k,), parts)
         try:
@@ -284,6 +285,7 @@ def _window(b: SearchBox) -> tuple[int, int | float, int]:
 
 
 def _window_cells(b: SearchBox, progress: _Progress):
+    """Each coprime candidate of b's k window as a Solution, proven as it is found."""
     n_lo, n_hi = b.n_range
     x_lo, x_hi = b.x_range
     y_lo, y_hi = b.y_range
@@ -325,11 +327,14 @@ def _window_cells(b: SearchBox, progress: _Progress):
                         y = y0
                         k = byn - axn
                         while y <= y_hi and k <= k_hi:
+                            # _normalized has checked the box's ints and floors,
+                            # and k = B*y^n - A*x^n >= k_lo >= 1: past the gcd
+                            # gate every invariant of a Solution holds.
                             if gcd(ax, B * y, k) == 1:
                                 if done:
                                     progress.advance(per_x, done)
                                     done = 0
-                                yield n, x, y, A, B, k
+                                yield Solution(n, x, y, A, B, k)
                             y += 1
                             k = B * y ** n - axn
                     done += 1
@@ -373,17 +378,17 @@ def hunt_derived_k(
     """All solutions with k derived as B*y^n - A*x^n, ranked by quality.
 
     The scan is enumerate_fixed_k's window walk with the k window
-    [1, inf), since y <= y_hi bounds k already: per (n, A, B) row y0
-    is the least y >= y_lo with B*y0^n >= A*x^n + 1, and y steps
-    up from it to y_hi.  Tuples with k < 1 (the dominant-term
-    requirement) are counted in cells_scanned, one y-width of cells per
-    x, but never visited.  The coprimality gate is exact, and an
-    optional q_threshold keeps only solutions with q >= threshold.  With
-    a threshold the k of every coprime tuple is still factored (_scan
-    shares the rest), but only the tuples that the proven float screen
-    (gains.quality_below) does not place below the threshold get 64-digit
-    logs and a report; the exact comparison then decides.  A tuple whose factorization exceeds the
-    budget gets a partial report, which the threshold never drops.
+    [1, inf), since y <= y_hi bounds k already.  Tuples with k < 1 (the
+    dominant-term requirement) are counted in cells_scanned, one y-width
+    of cells per x, but never visited.  Each tuple past the exact
+    coprimality gate is a Solution proven by construction, with no
+    validate_solution call.  An optional q_threshold keeps only solutions
+    with q >= threshold.  With a threshold the k of every coprime tuple
+    is still factored (_scan shares the rest), but only the tuples that
+    the proven float screen (gains.quality_below) does not place below
+    the threshold get 64-digit logs and a report; the exact comparison
+    then decides.  A tuple whose factorization exceeds the budget gets a
+    partial report, which the threshold never drops.
     Output is sorted by descending q with canonical order breaking ties.
     """
     return _collect(box, DERIVED_K, cell_ceiling, budget, _window_cells, screen=True)
@@ -409,7 +414,7 @@ def _oracle_cells(b: SearchBox, progress: _Progress):
                     for y in range(y_lo, y_hi + 1):
                         k = B * y ** n - axn
                         if k_lo <= k <= k_hi and gcd(A * x, B * y, k) == 1:
-                            yield n, x, y, A, B, k
+                            yield validate_solution(n, x, y, A, B, k)
 
 
 def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchResult:
@@ -421,8 +426,9 @@ def brute_force_oracle(box: SearchBox, *, budget: int | None = None) -> SearchRe
     whose k lies in the mode's window (_window): k_range for fixed_k, every
     k >= 1 for derived_k.  cells_scanned counts the mode's cells per x, as
     the search does: the k width for fixed_k, the y width for derived_k.
-    It builds every report before applying a threshold (no float screen)
-    and prints no progress.  Only intended for tests: a box of more than
+    It validates each tuple it keeps with validate_solution, builds every
+    report before applying a threshold (no float screen) and prints no
+    progress.  Only intended for tests: a box of more than
     ORACLE_CELL_CEILING (10^7) (n, A, B, x, y) cells raises BoxTooLarge.
     """
     return _collect(box, box.mode, inf, budget, _oracle_cells)

@@ -4,10 +4,11 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gainlab import cli, gains, runs
 from gainlab.bigmath import round_sig
@@ -158,6 +159,17 @@ class TestAnalyzeJson:
         assert doc["bounds"]["gp_max_strong"] == "4.17520"
         assert doc["bounds"]["gp_max_ultra"] == "3.13140"
         assert doc["bounds"]["k1_q_bound"] == "1.50000"
+
+    @given(st.integers(min_value=1, max_value=10 ** 70), st.integers(min_value=-90, max_value=20))
+    # 999999.5, 0.9999995 and 9.999995e-7 carry to a seventh digit.
+    @example(9999995, -1)
+    @example(9999995, -7)
+    @example(9999995, -13)
+    @example(1234567, -13)
+    @example(1234567, 0)
+    def test_display_is_plain_decimal_at_six_digits(self, coefficient, exponent):
+        value = Decimal(coefficient).scaleb(exponent)
+        assert cli._display(value) == format(round_sig(value, cli.DISPLAY_DIGITS), "f")
 
     def test_exact_integer_round_trip(self, capsys):
         _, doc, _ = run_json(capsys, DEWEGER_ARGS)

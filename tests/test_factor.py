@@ -4,7 +4,7 @@ import math
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from sympy.ntheory.primetest import mr
 
 from gainlab import factor
@@ -117,6 +117,8 @@ class TestPerfectPowers:
 
 
 SMALL_PRIMES = list(sympy.primerange(2, 10 ** 4))
+BLOCK_TWO = list(sympy.primerange(100, 1000))
+BLOCK_THREE = list(sympy.primerange(1000, 10 ** 4))
 
 
 class TestTrialDivision:
@@ -157,6 +159,38 @@ class TestTrialDivision:
         # A cofactor below 10^8 is taken as prime; 10^8 - 11 and 10^8 + 7 are prime.
         for v in range(10 ** 8 - 64, 10 ** 8 + 64):
             self.agrees(v)
+
+    @given(
+        st.lists(st.sampled_from((2, 3, 5, 7)), max_size=12),
+        st.sampled_from(BLOCK_THREE),
+        st.sampled_from(BLOCK_THREE),
+        st.sampled_from(("p", "pq", "pp")),
+    )
+    @example([], 1009, 1009, "pp")
+    @example([2, 3, 7], 1009, 1009, "pp")
+    @example([], 9973, 9973, "pp")
+    @example([2, 2, 5], 1009, 9973, "pq")
+    @example([7], 1013, 1009, "p")
+    def test_smooth_times_primes_of_the_last_block(self, smooth, p, q, shape):
+        # What is left after the first two blocks is p, p*q or p^2: below,
+        # at or above 1009^2, so the third block's gcd is skipped or taken.
+        self.agrees(math.prod(smooth) * {"p": p, "pq": p * q, "pp": p * p}[shape])
+
+    @given(
+        st.lists(st.sampled_from((2, 3, 5, 7)), max_size=8),
+        st.sampled_from(BLOCK_TWO),
+        st.sampled_from(BLOCK_TWO),
+    )
+    @example([], 997, 991)
+    @example([], 101, 101)
+    def test_primes_of_the_middle_block_past_a_million(self, smooth, p, q):
+        # Two primes below 1000 multiply to less than 10^6, so a power of 2
+        # lifts the value past it: trial division ends after the second
+        # block, with nothing left for the third block's gcd.
+        m = math.prod(smooth) * p * q
+        v = m << (10 ** 6 // m).bit_length()
+        assert v > 10 ** 6
+        self.agrees(v)
 
     @given(
         st.integers(min_value=10 ** 4, max_value=10 ** 8 - 12),

@@ -481,6 +481,72 @@ class TestEmittedInvariants:
                     assert abs(g.q - g.G_a * g.G_p) <= Decimal("1e-40") * g.q
 
 
+class TestProvenCandidates:
+    """The scan yields Solutions that hold every invariant with no check."""
+
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2),
+        st.one_of(st.none(), st.tuples(st.integers(1, 60), st.integers(0, 60))),
+        st.booleans(),
+    )
+    # x and A share the prime 2, y and B the prime 3.
+    @example(2, 2, 6, 2, 8, 2, 2, 3, 0, None, True)
+    @example(3, 2, 6, 3, 8, 4, 0, 3, 3, (1, 60), True)
+    # y starts below the least root, and above it.
+    @example(2, 5, 4, 2, 8, 1, 0, 1, 0, None, True)
+    @example(2, 2, 3, 25, 5, 1, 1, 1, 1, None, True)
+    @example(2, 20, 3, 22, 4, 1, 0, 1, 0, (1, 120), True)
+    # x = 1 admitted.
+    @example(3, 1, 4, 2, 8, 1, 2, 1, 2, None, False)
+    @example(2, 1, 4, 2, 8, 1, 2, 1, 2, (1, 30), False)
+    def test_every_candidate_is_a_valid_solution(
+        self, n, x_lo, x_w, y_lo, y_w, a_lo, a_w, b_lo, b_w, k, nontrivial
+    ):
+        mode = DERIVED_K if k is None else FIXED_K
+        box = SearchBox(
+            n_range=(n, n), x_range=(x_lo, x_lo + x_w), y_range=(y_lo, y_lo + y_w),
+            A_range=(a_lo, a_lo + a_w), B_range=(b_lo, b_lo + b_w), mode=mode,
+            k_range=None if k is None else (k[0], k[0] + k[1]),
+            require_nontrivial=nontrivial,
+        )
+        b = search._normalized(box, mode)
+        yielded = list(search._window_cells(b, search._Progress(cell_count(b))))
+        for s in yielded:
+            assert type(s) is gains.Solution
+            assert check_solution(*s).ok, s
+        # Both scans visit (n, A, B, x, y) in the same order.
+        assert yielded == list(search._oracle_cells(b, search._Progress(0)))
+
+    def test_only_the_oracle_calls_validate_solution(self, monkeypatch):
+        calls = []
+        original = gains.validate_solution
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (gainlab, gains, search, corpus, cli):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+        hunt = derived_box((2, 3), (1, 12), (2, 12), (1, 2), (1, 2), require_nontrivial=False)
+        for box, scan in ((spec_fixed_box(), enumerate_fixed_k), (hunt, hunt_derived_k)):
+            calls.clear()
+            assert scan(box).solutions
+            assert scan(box._replace(q_threshold=Decimal("0.9"))).solutions
+            assert calls == []
+            result = brute_force_oracle(box)
+            assert sorted(calls) == sorted(tuple(s) for s, _ in result.solutions)
+
+
 class TestPartition:
     def test_fixed_split_merge_identity(self):
         box = spec_fixed_box()
