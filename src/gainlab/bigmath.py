@@ -296,7 +296,11 @@ def _quantum(exponent: int) -> Decimal:
     return Decimal((0, (1,), exponent))
 
 
-def round_sig(value: Decimal, digits: int = 6) -> Decimal:
+# Significant digits of every displayed real.
+DISPLAY_DIGITS = 6
+
+
+def round_sig(value: Decimal, digits: int = DISPLAY_DIGITS) -> Decimal:
     """Round to ``digits`` significant decimal digits, round-half-even.
 
     Used only for display; full-precision values are kept internally.
@@ -308,6 +312,16 @@ def round_sig(value: Decimal, digits: int = 6) -> Decimal:
     if value.is_zero():
         return _ZERO
     return value.quantize(_quantum(value.adjusted() - digits + 1), context=CTX)
+
+
+def display(value: Decimal | None) -> str | None:
+    """value as plain decimal text at DISPLAY_DIGITS significant digits; None stays None."""
+    if value is None:
+        return None
+    r = round_sig(value, DISPLAY_DIGITS)
+    # format(r, "f") is plain decimal at any magnitude; the faster str gives
+    # the same text while r's exponent is <= 0 and adjusted exponent >= -6.
+    return str(r) if -6 <= r.adjusted() < DISPLAY_DIGITS else format(r, "f")
 
 
 # factor and this module import each other.  Bound last, as the module and

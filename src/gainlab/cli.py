@@ -27,13 +27,12 @@ import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
 from time import perf_counter
 
-from .bigmath import round_sig
+from .bigmath import display
 from .factor import FactorBudgetExceeded, resolve_budget
 from .gains import (
     BOUND_FIELDS,
@@ -44,6 +43,7 @@ from .gains import (
     Solution,
     SolutionError,
     bound_fields,
+    bound_text,
     compute_gains,
     custom_qmax,
     max_admissible_exponent,
@@ -56,9 +56,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 FORMATS = ("json", "csv", "human")
-
-# Significant digits of every displayed real.
-DISPLAY_DIGITS = 6
 
 # Sections and columns of a solution report, in output order.
 REPORT_SCHEMA = {
@@ -163,15 +160,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _display(value: Decimal | None) -> str | None:
-    if value is None:
-        return None
-    r = round_sig(value, DISPLAY_DIGITS)
-    # format(r, "f") is plain decimal at any magnitude; the faster str gives
-    # the same text while r's exponent is <= 0 and adjusted exponent >= -6.
-    return str(r) if -6 <= r.adjusted() < DISPLAY_DIGITS else format(r, "f")
-
-
 # A row value is a str, an int (a count), None, True or False.  In JSON a
 # str is a string and an int a number; these tables give the other three.
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
@@ -254,20 +242,6 @@ _SEARCH_LAYOUT = _Layout(
 )
 
 
-@lru_cache(maxsize=None)
-def _bound_text(n: int, A: int, B: int, y: int, gp_max_custom: Decimal | None = None) -> tuple:
-    """Display strings of the bound fields, in _SECTIONS order.
-
-    gp_max_custom is the value under a custom cap, shown in its own column.
-    Rendered once per key, as gains._fixed_cap_bounds takes the values once
-    per (n, A, B, y); q_min is ga_min, so one string serves both.
-    """
-    fields = dict(bound_fields(n, A, B, y), gp_max_custom=gp_max_custom)
-    text = {name: _display(value) for name, value in fields.items() if name != "q_min"}
-    text["q_min"] = text["ga_min"]
-    return tuple(text[name] for name in _SECTIONS[gp_max_custom is not None]["bounds"])
-
-
 def solution_report(s: Solution, g: GainReport) -> tuple:
     """The per-solution report row: its values in REPORT_SCHEMA column order.
 
@@ -277,8 +251,8 @@ def solution_report(s: Solution, g: GainReport) -> tuple:
     return (
         str(s.n), str(s.x), str(s.y), str(s.A), str(s.B), str(s.k), s.trivial_x,
         str(g.C), str(g.P), None if g.R is None else str(g.R),
-        _display(g.G_a), _display(g.G_p), _display(g.q),
-        *_bound_text(s.n, s.A, s.B, s.y, g.gp_max_custom),
+        display(g.G_a), display(g.G_p), display(g.q),
+        *bound_text(s.n, s.A, s.B, s.y, g.gp_max_custom),
         g.C == axn + s.k,
         gcd(s.A * s.x, s.B * s.y, s.k) == 1,
         bool(g.C > axn and g.G_a > g.ga_min),
@@ -340,7 +314,7 @@ def _run_bounds(args: argparse.Namespace) -> None:
     }
     row = (
         str(n), str(A), str(B), str(y), None if cap is None else str(cap.value),
-        *_bound_text(n, A, B, y, custom),
+        *bound_text(n, A, B, y, custom),
         *map(_admissible, caps.values()),
     )
     _Layout(sections, 0, _block_lines(sections)).print_document(args.output_format, row)
@@ -396,7 +370,7 @@ def _run_verify_corpus(args: argparse.Namespace) -> None:
         report = verify_entry(entry)
         rows = [
             (qty, str(v.expected), str(v.tolerance),
-             str(v.actual) if isinstance(v.actual, int) else _display(v.actual), v.passed)
+             str(v.actual) if isinstance(v.actual, int) else display(v.actual), v.passed)
             for qty, v in report.quantities.items()
         ]
         entries.append((entry, report.consistency, rows))

@@ -15,7 +15,8 @@ plus the bounds, all from one term evaluated at 64 digits:
 
 at quality caps 2 (strong), 1.5 (ultra) or a custom one, and the q > n/2
 bound for the k = 1, A = B = 1 case.  q_min is ga_min because
-q = G_a * G_p and G_p >= 1.  G_a, q and D share one ln C per key.
+q = G_a * G_p and G_p >= 1.  One bounded memo per key holds ln C, which
+G_a, q and D share, and the bounds with their display text.
 
 quality_below screens a tuple against a quality threshold in floats,
 with a proven margin, before any 64-digit log is taken.
@@ -30,8 +31,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .bigmath import (
-    CTX, LN_PRECISION, int_text, ln_exact, ln_power_and_radical, ln_product, ln_sums,
-    require_int,
+    CTX, LN_PRECISION, display, int_text, ln_exact, ln_power_and_radical, ln_product,
+    ln_sums, require_int,
 )
 from .factor import Factorization, factorize_product
 
@@ -290,22 +291,29 @@ def shared_part(components: tuple[int, ...]) -> tuple | None:
     return (*ln_sums(factors), sum(math.log(p) for p, _ in factors), len(factors))
 
 
-@lru_cache(maxsize=None)
-def _fixed_cap_bounds(n: int, A: int, B: int, y: int) -> tuple[Decimal, ...]:
-    """(ln C, D, ga_min, gp_max_strong, gp_max_ultra, k1_q_bound), C = B*y^n."""
+@lru_cache(maxsize=4096)
+def _bounds(n: int, A: int, B: int, y: int) -> tuple:
+    """(ln C, D, ga_min, gp_max_strong, gp_max_ultra, k1_q_bound, text), C = B*y^n.
+
+    text is bound_text without a custom cap; q_min's string is ga_min's.  A
+    scan reads one (n, A, B) row of keys at a time, and an evicted key is
+    taken again to the same values.
+    """
     ln_c = ln_product(((B, 1), (y, n)))
     with localcontext(CTX):
         d = Decimal(n + 2) + (Decimal(n - 1) * ln_product(((A * B, 1),))) / ln_c
-    strong, ultra = (_gp_cap(n, d, cap) for cap in (QMAX_STRONG, QMAX_ULTRA))
-    return ln_c, d, CTX.divide(Decimal(n), d), strong, ultra, k1_quality_bound(n)
+    caps = (_gp_cap(n, d, cap) for cap in (QMAX_STRONG, QMAX_ULTRA))
+    values = (CTX.divide(Decimal(n), d), *caps, k1_quality_bound(n))
+    ga_min, strong, ultra, k1 = map(display, values)
+    return (ln_c, d, *values, (ga_min, ga_min, strong, ultra, k1))
 
 
 def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> dict:
     """Every bound field for these parameters, keyed by BOUND_FIELDS.
 
-    The checked reader of _fixed_cap_bounds: the public bounds go through
-    it.  q_min is ga_min (see q_lower_bound); gp_max_custom is None when no
-    cap is given.  D and the fixed-cap fields are memoized per (n, A, B, y).
+    The checked reader of _bounds: the public bounds go through it.  q_min
+    is ga_min (see q_lower_bound); gp_max_custom is None when no cap is
+    given.  D and the fixed-cap fields are memoized per (n, A, B, y).
     """
     # Checked before the memo lookup, where 2.0 and True find the keys 2 and 1.
     for name, v in (("n", n), ("A", A), ("B", B), ("y", y)):
@@ -313,9 +321,18 @@ def bound_fields(n: int, A: int, B: int, y: int, q_max: QMax | None = None) -> d
         least = PARAM_FLOORS[name]
         if v < least:
             raise ValueError(f"bound formulas require {name} >= {least}")
-    _, d, ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
+    _, d, ga_min, strong, ultra, k1, _ = _bounds(n, A, B, y)
     custom = None if q_max is None else _gp_cap(n, d, q_max)
     return dict(zip(BOUND_FIELDS, (ga_min, ga_min, strong, ultra, custom, k1)))
+
+
+def bound_text(n: int, A: int, B: int, y: int, gp_max_custom: Decimal | None = None) -> tuple:
+    """Display strings of the bound fields, in BOUND_FIELDS order; gp_max_custom's only if given.
+
+    Unchecked: the parameters come from a Solution or have passed bound_fields.
+    """
+    text = _bounds(n, A, B, y)[-1]
+    return text if gp_max_custom is None else (*text[:4], display(gp_max_custom), text[4])
 
 
 def _build_report(s: Solution, sums: tuple | None, q_max_custom: QMax | None) -> GainReport:
@@ -326,7 +343,7 @@ def _build_report(s: Solution, sums: tuple | None, q_max_custom: QMax | None) ->
         # 0/0 and must never be silently produced.
         raise ValueError("degenerate denominator: x*y*A*B*k = 1")
     # A Solution holds ints at or above their floors, as bound_fields checks.
-    ln_c, d, ga_min, strong, ultra, k1 = _fixed_cap_bounds(n, A, B, y)
+    ln_c, d, ga_min, strong, ultra, k1, _ = _bounds(n, A, B, y)
     custom = None if q_max_custom is None else _gp_cap(n, d, q_max_custom)
     if sums is None:
         R = g_p = q = None
@@ -343,11 +360,7 @@ def _build_report(s: Solution, sums: tuple | None, q_max_custom: QMax | None) ->
 
 
 def compute_gains(
-    s: Solution,
-    *,
-    budget: int | None = None,
-    q_max_custom: QMax | None = None,
-    factorization: Factorization | None = None,
+    s: Solution, *, budget: int | None = None, q_max_custom: QMax | None = None,
     sums: tuple | None = None,
 ) -> GainReport:
     """Full GainReport for a valid Solution.
@@ -359,16 +372,14 @@ def compute_gains(
     the factorization (bigmath.ln_sums); each sum ends in one integer
     rounding test (see bigmath.ln_product).  ln C = ln(B*y^n) is taken
     once per (n, A, B, y) with D and the bound fields, and read here.
-    A caller that has already factored the tuple passes factorization =
-    factorize_product((x, y, A, B, k)), or its ln_sums added up by coprime
-    part as sums, and gets the same report.  Otherwise x, y, A, B and k
-    are factored one at a time within one shared budget, so one report
-    spends at most that budget.
+    A caller that has already factored the tuple passes the ln_sums of its
+    primes, or those sums added up by coprime part, as sums, and gets the
+    same report.  Otherwise x, y, A, B and k are factored one at a time
+    within one shared budget, so one report spends at most that budget.
     Raises FactorBudgetExceeded if the radical cannot be completed.
     """
     if sums is None:
-        f = factorization or factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
-        sums = ln_sums(f.factors)
+        sums = ln_sums(factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget).factors)
     return _build_report(s, sums, q_max_custom)
 
 

@@ -13,12 +13,12 @@ import time
 from decimal import Decimal, localcontext
 
 from gainlab.bigmath import CTX, clear_ln_cache, ipow, ln_big, nth_root_floor
-from gainlab.cli import _bound_text, solution_report
+from gainlab.cli import solution_report
 from gainlab.corpus import FAIL, PASS, builtin_corpus, verify_entry
 from gainlab.factor import clear_cache
 from gainlab.gains import (
     Solution,
-    _fixed_cap_bounds,
+    _bounds,
     compute_gains,
     ga_lower_bound,
     gp_upper_bound,
@@ -51,8 +51,7 @@ def _close(actual: Decimal, expected: str, tol: str) -> bool:
 def _cold_start() -> None:
     clear_cache()
     clear_ln_cache()
-    _fixed_cap_bounds.cache_clear()
-    _bound_text.cache_clear()
+    _bounds.cache_clear()
 
 
 def test_criterion_1_quintic_case_gains():

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gainlab import cli, gains, runs
-from gainlab.bigmath import round_sig
+from gainlab import bigmath, cli, gains, runs
+from gainlab.bigmath import DISPLAY_DIGITS, display, round_sig
 from gainlab.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -169,7 +169,7 @@ class TestAnalyzeJson:
     @example(1234567, 0)
     def test_display_is_plain_decimal_at_six_digits(self, coefficient, exponent):
         value = Decimal(coefficient).scaleb(exponent)
-        assert cli._display(value) == format(round_sig(value, cli.DISPLAY_DIGITS), "f")
+        assert display(value) == format(round_sig(value, DISPLAY_DIGITS), "f")
 
     def test_exact_integer_round_trip(self, capsys):
         _, doc, _ = run_json(capsys, DEWEGER_ARGS)
@@ -241,30 +241,31 @@ class TestReportRow:
     def test_bound_strings_rendered_per_key(self, key, cap):
         names = [name for name in REPORT_SCHEMA["bounds"] if name != "gp_max_custom"]
         fields = bound_fields(*key)
-        expected = tuple(cli._display(fields[name]) for name in names)
-        assert cli._bound_text(*key) == expected
-        # A custom cap adds its column through the same memo.
+        expected = tuple(display(fields[name]) for name in names)
+        assert gains.bound_text(*key) == gains._bounds(*key)[-1] == expected
+        # A custom cap adds its column, rendered on the call, to the same entry.
         fields = bound_fields(*key, custom_qmax(cap))
-        expected = tuple(cli._display(fields[name]) for name in cli._SECTIONS[True]["bounds"])
-        assert cli._bound_text(*key, fields["gp_max_custom"]) == expected
+        expected = tuple(display(fields[name]) for name in REPORT_SCHEMA["bounds"])
+        assert gains.bound_text(*key, fields["gp_max_custom"]) == expected
 
     def test_round_sig_runs_per_solution_and_per_new_key(self, capsys, monkeypatch):
         # G_a, G_p and q are rounded for each solution; ga_min (shared by
         # q_min), the two G_p caps and k1_q_bound once for each new
         # (n, A, B, y), and the memo holds one entry per key.
         calls = []
-        monkeypatch.setattr(cli, "round_sig", lambda v, d: calls.append(v) or round_sig(v, d))
-        cli._bound_text.cache_clear()
-        gains._fixed_cap_bounds.cache_clear()
-        code, doc, _ = run_json(capsys, [
-            "hunt", "--n", "2:3", "--x", "2:12", "--y", "2:12", "--A", "1:2", "--B", "1:2",
-        ])
+        monkeypatch.setattr(bigmath, "round_sig", lambda v, d: calls.append(v) or round_sig(v, d))
+        gains._bounds.cache_clear()
+        argv = ["hunt", "--n", "2:3", "--x", "2:12", "--y", "2:12", "--A", "1:2", "--B", "1:2"]
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
         assert code == EXIT_OK
+        doc = json.loads(out)
         keys = {tuple(d["solution"][name] for name in "nABy") for d in doc["solutions"]}
         assert len(doc["solutions"]) > 2 * len(keys) > 0
         assert len(calls) == 3 * len(doc["solutions"]) + 4 * len(keys)
-        memo = cli._bound_text.cache_info().currsize
-        assert memo == len(keys) <= gains._fixed_cap_bounds.cache_info().currsize
+        assert gains._bounds.cache_info().currsize == len(keys)
+        # Rows rendered from a cleared memo are the rows rendered before.
+        gains._bounds.cache_clear()
+        assert run_cli(capsys, argv + ["--format", "json"])[1] == out
 
 
 class TestAnalyzeOtherFormats:

@@ -331,7 +331,7 @@ class TestBoundFormulas:
         # A float or bool equal to a valid key is rejected in a fresh
         # process and after that key is memoized alike: the result must
         # not depend on call history.
-        gains._fixed_cap_bounds.cache_clear()
+        gains._bounds.cache_clear()
         for _ in ("fresh", "warm"):
             for key in ((2, 1, 1, 2.0), (2.0, 1, 1, 2), (2, True, 1, 2), (2.5, 1, 1, 2)):
                 with pytest.raises(TypeError):
@@ -342,7 +342,7 @@ class TestBoundFormulas:
         # bound_fields with a custom cap and the public bounds all read one
         # evaluation of D for (n, A, B, y), and keep the values n/D and
         # q_max*D/n.
-        gains._fixed_cap_bounds.cache_clear()
+        gains._bounds.cache_clear()
         key, cap = (4, 7, 5, 1234), custom_qmax("1.25")
         fields = gains.bound_fields(*key, cap)
         with localcontext(CTX):
@@ -360,7 +360,7 @@ class TestBoundFormulas:
         # analyze --n 2 --x 157 --y 91 --A 1 --B 3 --k 194: G_a and
         # ga_min = 2/D read the one correctly rounded ln(3*91^2) that both
         # reports on this key share.
-        gains._fixed_cap_bounds.cache_clear()
+        gains._bounds.cache_clear()
         s = validate_solution(2, 157, 91, 1, 3, 194)
         full, partial = compute_gains(s), compute_gains_partial(s)
         ln_c = ln_product(((3, 1), (91, 2)))

@@ -17,7 +17,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 import gainlab
 from gainlab import bigmath, cli, corpus, factor, gains, runs, search
-from gainlab.bigmath import CTX, clear_ln_cache
+from gainlab.bigmath import CTX, clear_ln_cache, ln_sums
 from gainlab.factor import BUDGET_ENV_VAR, factorize_product
 from gainlab.gains import check_solution, quality_below, validate_solution
 from gainlab.search import (
@@ -887,7 +887,7 @@ def merged_report(s, budget=None):
         f = factorize_product((s.x, s.y, s.A, s.B, s.k), budget=budget)
     except factor.FactorBudgetExceeded:
         return gains.compute_gains_partial(s)
-    return gains.compute_gains(validate_solution(*s), factorization=f)
+    return gains.compute_gains(validate_solution(*s), sums=ln_sums(f.factors))
 
 
 def report_text(g):
