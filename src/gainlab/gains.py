@@ -291,14 +291,22 @@ def shared_part(components: tuple[int, ...]) -> tuple | None:
     return (*ln_sums(factors), sum(math.log(p) for p, _ in factors), len(factors))
 
 
-@lru_cache(maxsize=4096)
+_HELD, _row = 4096, None
+
+
+@lru_cache(maxsize=None)
 def _bounds(n: int, A: int, B: int, y: int) -> tuple:
     """(ln C, D, ga_min, gp_max_strong, gp_max_ultra, k1_q_bound, text), C = B*y^n.
 
-    text is bound_text without a custom cap; q_min's string is ga_min's.  A
-    scan reads one (n, A, B) row of keys at a time, and an evicted key is
-    taken again to the same values.
+    text is bound_text without a custom cap; q_min's string is ga_min's.
+    A key of a new (n, A, B) row empties the memo past _HELD keys: each x
+    of a scan walks its row's y again, so the row being filled stays whole
+    however wide.  A dropped key is taken again to the same values.
     """
+    global _row
+    if (n, A, B) != _row and _bounds.cache_info().currsize >= _HELD:
+        _bounds.cache_clear()
+    _row = (n, A, B)
     ln_c = ln_product(((B, 1), (y, n)))
     with localcontext(CTX):
         d = Decimal(n + 2) + (Decimal(n - 1) * ln_product(((A * B, 1),))) / ln_c
@@ -331,8 +339,8 @@ def bound_text(n: int, A: int, B: int, y: int, gp_max_custom: Decimal | None = N
 
     Unchecked: the parameters come from a Solution or have passed bound_fields.
     """
-    text = _bounds(n, A, B, y)[-1]
-    return text if gp_max_custom is None else (*text[:4], display(gp_max_custom), text[4])
+    text, i = _bounds(n, A, B, y)[-1], BOUND_FIELDS.index("gp_max_custom")
+    return text if gp_max_custom is None else (*text[:i], display(gp_max_custom), *text[i:])
 
 
 def _build_report(s: Solution, sums: tuple | None, q_max_custom: QMax | None) -> GainReport:

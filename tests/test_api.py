@@ -135,15 +135,16 @@ def test_every_lru_memo_is_bounded():
     # A memo whose key space grows with the box must not grow with it.
     # Found through cache_info(), so two dict memos are not covered:
     # bigmath._ln_cache, which is still unbounded, and factor._cache, whose
-    # keys all lie below factor._TRIAL_LIMIT.
+    # keys all lie below factor._TRIAL_LIMIT.  gains._bounds has no maxsize
+    # and empties itself past gains._HELD keys (see TestBoundFormulas).
     memos = {}
     for info in pkgutil.iter_modules(gainlab.__path__):
         module = importlib.import_module(f"gainlab.{info.name}")
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 memos[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert [name for name, maxsize in memos.items() if maxsize is None] == []
-    assert {"bigmath._quantum", "gains._bounds", "gains.shared_part"} <= set(memos)
+    assert [name for name, maxsize in memos.items() if maxsize is None] == ["gains._bounds"]
+    assert {"bigmath._quantum", "gains.shared_part"} <= set(memos)
 
 
 def test_traced_names_bind_one_object():

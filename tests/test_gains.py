@@ -356,6 +356,26 @@ class TestBoundFormulas:
         assert gp_upper_bound(*key, cap) == fields["gp_max_custom"]
         assert counted_logs == [((5, 1), (1234, 4)), ((35, 1),)]
 
+    def test_memo_holds_the_row_being_filled_whatever_its_width(self, monkeypatch):
+        # A key of a new (n, A, B) row empties the memo once it holds _HELD
+        # keys, and only then: the row being filled, which each x of a scan
+        # walks again, stays whole however wide, and a key taken again has
+        # the same values.
+        monkeypatch.setattr(gains, "_HELD", 8)
+        gains._bounds.cache_clear()
+        narrow = [(3, 2, B, y) for B in (3, 5, 7) for y in (2, 3, 4)]
+        wide = [(3, 2, 11, y) for y in range(2, 22)]
+        before = {key: gains._bounds(*key) for key in narrow}
+        assert gains._bounds.cache_info().currsize == 9
+        before.update((key, gains._bounds(*key)) for key in wide)
+        assert gains._bounds.cache_info().currsize == 20
+        misses = gains._bounds.cache_info().misses
+        assert [gains._bounds(*key) for key in wide] == [before[key] for key in wide]
+        assert gains._bounds.cache_info().misses == misses
+        # A finished row's key, as the CLI renders rows a batch behind.
+        assert gains._bounds(*narrow[-1]) == before[narrow[-1]]
+        assert gains._bounds.cache_info().currsize == 1
+
     def test_reports_and_bounds_share_one_ln_c(self, counted_logs):
         # analyze --n 2 --x 157 --y 91 --A 1 --B 3 --k 194: G_a and
         # ga_min = 2/D read the one correctly rounded ln(3*91^2) that both
