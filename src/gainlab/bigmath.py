@@ -38,14 +38,16 @@ _LEAF_GUARD = 3
 # division alone there (a cofactor below 10**8 is prime): no rho step and
 # no budget.
 _RECURRENCE_LIMIT = 10 ** 8
+# A fill that finds _ln_cache holding this many logs empties it first.
+_LN_HELD = 1 << 16
 
 # Logs as (value, err) with |value - ln(key) * 10**LN_SCALE| <= err, keyed
 # by the integers they are logs of: the primes of factored values, the
 # small parameters (y, B, A*B) of the bound formulas, and the primes the
 # p - 1 recurrence reaches from either.  Logs of products are sums of
-# these and are never stored, so the cache grows with the distinct primes
-# seen, not with the solutions.  The fill is idempotent (pure function of
-# the key).
+# these and are never stored.  The fill is idempotent (pure function of
+# the key), so a dropped log is taken again to the same value, and a fill
+# nested in another is safe: ln_sums keeps the values it has read.
 _ln_cache: dict[int, tuple[int, int]] = {}
 
 
@@ -150,6 +152,8 @@ def _ln_fill(v: int) -> tuple[int, int]:
         digits = LN_SCALE + _LEAF_GUARD + len(str(v.bit_length()))
         ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
         result = (round(Decimal(v).ln(ctx).scaleb(LN_SCALE, ctx)), _LEAF_ERR)
+    if len(_ln_cache) >= _LN_HELD:
+        _ln_cache.clear()
     _ln_cache[v] = result
     return result
 
@@ -157,7 +161,7 @@ def _ln_fill(v: int) -> tuple[int, int]:
 def ln_sums(factors, *parts) -> tuple[int, int, int, int, int]:
     """Over ((q, e), ...): sums of e*ln_cached(q) and ln_cached(q), values and bounds, and prod q.
 
-    Each of parts, which starts with these five for primes not in factors,
+    Each of parts, these five for primes not in factors (a shared_part),
     is added in.
     """
     value = err = r_value = r_err = 0
@@ -169,7 +173,7 @@ def ln_sums(factors, *parts) -> tuple[int, int, int, int, int]:
         r_value += v
         r_err += d
         radical *= q
-    for v, d, rv, rd, r, *_ in parts:
+    for v, d, rv, rd, r in parts:
         value, err, r_value, r_err = value + v, err + d, r_value + rv, r_err + rd
         radical *= r
     return value, err, r_value, r_err, radical

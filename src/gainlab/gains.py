@@ -16,10 +16,11 @@ plus the bounds, all from one term evaluated at 64 digits:
 at quality caps 2 (strong), 1.5 (ultra) or a custom one, and the q > n/2
 bound for the k = 1, A = B = 1 case.  q_min is ga_min because
 q = G_a * G_p and G_p >= 1.  One bounded memo per key holds ln C, which
-G_a, q and D share, and the bounds with their display text.
+G_a, q and D share, and the bounds with their display text; the log sums
+of a hunt's coprime parts A*x and B*y empty with it (shared_part).
 
 quality_below screens a tuple against a quality threshold in floats,
-with a proven margin, before any 64-digit log is taken.
+from one log of rad(P) with a proven margin, before any 64-digit log.
 """
 
 from __future__ import annotations
@@ -277,18 +278,17 @@ BOUND_FIELDS = (
 )
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def shared_part(components: tuple[int, ...]) -> tuple | None:
-    """ln_sums of prod(components), then the sum of math.log(p) and the count of its primes.
+    """ln_sums of prod(components), its radical last; None if a component is 10**8 or more.
 
-    None if a component is 10**8 or more: trial division settles smaller
-    ones with no rho step, so a part is the same under any budget, and one
-    evicted from the memo is taken again to the same value.
+    Trial division settles smaller components with no rho step, so a part
+    is the same under any budget.  The memo empties when _bounds empties
+    itself, and a dropped part is taken again to the same value.
     """
     if max(components) >= 10 ** 8:
         return None
-    factors = factorize_product(components).factors
-    return (*ln_sums(factors), sum(math.log(p) for p, _ in factors), len(factors))
+    return ln_sums(factorize_product(components).factors)
 
 
 _HELD, _row = 4096, None
@@ -299,13 +299,15 @@ def _bounds(n: int, A: int, B: int, y: int) -> tuple:
     """(ln C, D, ga_min, gp_max_strong, gp_max_ultra, k1_q_bound, text), C = B*y^n.
 
     text is bound_text without a custom cap; q_min's string is ga_min's.
-    A key of a new (n, A, B) row empties the memo past _HELD keys: each x
-    of a scan walks its row's y again, so the row being filled stays whole
-    however wide.  A dropped key is taken again to the same values.
+    A key of a new (n, A, B) row empties the memo past _HELD keys, and
+    shared_part's with it: each x of a scan walks its row's y again, so
+    the row being filled, and the parts of its y, stay whole however wide.
+    A dropped key is taken again to the same values.
     """
     global _row
     if (n, A, B) != _row and _bounds.cache_info().currsize >= _HELD:
         _bounds.cache_clear()
+        shared_part.cache_clear()
     _row = (n, A, B)
     ln_c = ln_product(((B, 1), (y, n)))
     with localcontext(CTX):
@@ -403,43 +405,37 @@ def quality_below(s: Solution, threshold: Decimal, factorization: Factorization,
     some coprime parts of P with the others' shared_part values, as the
     report's ln_sums then reads them, and tests
 
-        ln C < t * ln R * (1 - margin),   margin = (m + 16) * 2**-52,
+        ln C < t * ln R * (1 - 2**-48),
 
-    with ln C = log(B) + n*log(y), ln R the sum of log(p) over the m
-    primes of P, every log taken by math.log, and t = float(threshold).
-    It rejects nothing when t is inf, nan or at most 0, or when ln R is 0:
-    the right side is then inf, nan or at most 0.
+    with R = rad(P), the product of the factorization's primes and the
+    parts' radicals, ln C = log(B) + n*log(y), every log taken by math.log,
+    and t = float(threshold).  It rejects nothing when t is inf, nan or at
+    most 0, or when R = 1: the right side is then inf, nan or at most 0.
 
-    Proof that a rejected tuple has q < threshold.  Let u = 2**-53, the
-    unit roundoff.  math.log(v) of an int v >= 2 is log(float(v)), or for
-    v >= 2**1024 the log of a 53-bit mantissa plus e*log(2).  float(v) is
-    correctly rounded, which moves the log by at most 1.01u < 1.5u*ln v;
-    the C library's log is taken to be within one ulp (glibc's is within
-    0.52), at most 2u*ln v.  So each log has relative error below
-    4u = _LOG_ERR (on the mantissa path too, where ln v > 709);
-    tests/test_search.py checks this bound against Decimal.ln.  Every term
-    is nonnegative, so no cancellation amplifies the errors: the computed
-    ln C is at least ln C*(1-4u)*(1-u)**2 (two logs, a product by n, a
-    sum); the computed ln R is at most ln R*(1+4u)*(1+u)**(m-1) (m logs,
-    m-1 sums, in any order: by part, then the parts' sums), and a
-    compensated sum stays within that to first order; t
-    is at most threshold*(1+u) when it is a normal float, float(Decimal)
-    being correctly rounded; and 1 - margin and the two products add three
-    roundings.  If the test holds, the right side lies between the
-    computed ln C >= log(4) > 1 and inf, so t and both products are normal
-    floats (ln R < 2**1022 for any value that fits in memory).  Then
-    ln C*(1-4u)*(1-u)**2 < threshold*ln R*(1-margin)*(1+4u)*(1+u)**(m+3),
-    so q = ln C/ln R < threshold*(1-2(m+16)u)*(1+(m+14)u) <
-    threshold*(1-(m+17)u).  The report's q is the 64-digit quotient of two
-    correctly rounded 64-digit logs, within 10**-62 of q relatively, so it
-    is below threshold too: compute_gains' report would have been dropped.
+    Proof that a rejected tuple has q < threshold.  Let u = 2**-53, the unit
+    roundoff, so the margin is 32u and 1 - 32u is exact.  math.log(v) of an
+    int v >= 2 is log(float(v)), or for v >= 2**1024 the log of a 53-bit
+    mantissa plus e*log(2).  float(v) is correctly rounded, which moves the
+    log by at most 1.01u < 1.5u*ln v; the C library's log is taken to be
+    within one ulp (glibc's is within 0.52), at most 2u*ln v.  So each log
+    has relative error below 4u = _LOG_ERR (on the mantissa path too, where
+    ln v > 709), which tests/test_search.py checks against Decimal.ln.  The
+    computed ln R, of the exact R, is at most ln R*(1+4u); the computed ln C
+    is at least ln C*(1-4u)*(1-u)**2 (two nonnegative logs, a product by n,
+    a sum); t is at most threshold*(1+u) when it is a normal float,
+    float(Decimal) being correctly rounded; and the two products add two
+    roundings.  If the test holds, the right side lies between the computed
+    ln C >= log(4) > 1 and inf, so t and both products are normal floats
+    (ln R < 2**1022 for any value that fits in memory).  Then
+    ln C*(1-4u)*(1-u)**2 < threshold*ln R*(1-32u)*(1+4u)*(1+u)**3, so
+    q = ln C/ln R < threshold*(1-32u)*(1+14u) < threshold*(1-17u).  The
+    report's q is the 64-digit quotient of two correctly rounded 64-digit
+    logs, within 10**-62 of q relatively, so it is below threshold too:
+    compute_gains' report would have been dropped.
     """
-    primes = factorization.factors
-    ln_r = sum(math.log(p) for p, _ in primes) + sum(part[5] for part in parts)
-    m = len(primes) + sum(part[6] for part in parts)
+    R = math.prod((part[4] for part in parts), start=factorization.radical())
     ln_c = math.log(s.B) + s.n * math.log(s.y)
-    bound = float(threshold) * ln_r * (1.0 - (m + 16) * 2.0 ** -52)
-    return ln_c < bound < math.inf
+    return ln_c < float(threshold) * math.log(R) * (1.0 - 2.0 ** -48) < math.inf
 
 
 def compute_gains_partial(s: Solution) -> GainReport:

@@ -208,19 +208,19 @@ def _scan(
 ) -> int:
     """Validate the box, report every candidate that cells yields, filter.
 
-    cells(box, progress) yields a Solution for each coprime candidate of
-    the normalized box, proven where it is found (_window_cells) or
-    validated (_oracle_cells), and counts its cells on progress; _scan
-    checks no invariant again.  A hunt's candidate factors k, within the
-    budget, and adds the memoized sums of P's other coprime parts, A*x and
-    B*y (gains.shared_part), as its x and y recur over windows of
-    candidates.  When one of them may need rho, or in fixed_k mode, whose
-    x and y come about once each, it factors x, y, A, B and k.  The screen
-    and the report read the same factors and parts.  In derived_k mode
-    only, a q_threshold drops reports of lower known quality; with screen,
-    candidates that quality_below proves below it are dropped before their
-    report is built.  Each kept (solution, report) pair goes to sink as it
-    is found, in scan order; returns the cells scanned.
+    cells(box, progress) yields a Solution for each coprime candidate of the
+    normalized box, proven where it is found (_window_cells) or validated
+    (_oracle_cells), and counts its cells on progress; _scan checks no
+    invariant again.  A hunt's candidate factors k, within the budget, and
+    adds the memoized ln_sums of P's other coprime parts, A*x and B*y
+    (gains.shared_part, emptied with gains._bounds), as x and y recur over
+    windows of candidates.  When one of them may need rho, or in fixed_k
+    mode, whose x and y come about once each, it factors x, y, A, B and k.
+    The screen and the report read the same factors and parts.  In derived_k
+    mode only, a q_threshold drops reports of lower known quality; with
+    screen, candidates that quality_below proves below it are dropped before
+    their report is built.  Each kept (solution, report) pair goes to sink
+    as it is found, in scan order; returns the cells scanned.
     """
     b = _normalized(box, mode)
     total = cell_count(b)

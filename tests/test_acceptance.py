@@ -24,6 +24,7 @@ from gainlab.gains import (
     gp_upper_bound,
     max_admissible_exponent,
     q_lower_bound,
+    shared_part,
 )
 from gainlab.search import (
     SearchBox,
@@ -52,6 +53,7 @@ def _cold_start() -> None:
     clear_cache()
     clear_ln_cache()
     _bounds.cache_clear()
+    shared_part.cache_clear()
 
 
 def test_criterion_1_quintic_case_gains():

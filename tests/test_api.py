@@ -131,20 +131,39 @@ def test_traced_caches_exist():
     assert isinstance(factor._cache, dict)
 
 
-def test_every_lru_memo_is_bounded():
+def test_every_lru_memo_is_bounded(monkeypatch):
     # A memo whose key space grows with the box must not grow with it.
-    # Found through cache_info(), so two dict memos are not covered:
-    # bigmath._ln_cache, which is still unbounded, and factor._cache, whose
-    # keys all lie below factor._TRIAL_LIMIT.  gains._bounds has no maxsize
-    # and empties itself past gains._HELD keys (see TestBoundFormulas).
+    # Found through cache_info(), each under the first name that binds it.
+    # gains._bounds has no maxsize and empties itself past gains._HELD keys;
+    # gains.shared_part has none either and empties with it (see
+    # TestBoundFormulas).  Of the two dict memos, factor._cache holds only
+    # keys below factor._TRIAL_LIMIT, and bigmath._ln_cache is checked below.
+    from gainlab import bigmath
+
     memos = {}
     for info in pkgutil.iter_modules(gainlab.__path__):
         module = importlib.import_module(f"gainlab.{info.name}")
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
-                memos[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert [name for name, maxsize in memos.items() if maxsize is None] == ["gains._bounds"]
-    assert {"bigmath._quantum", "gains.shared_part"} <= set(memos)
+                memos.setdefault(value, f"{info.name}.{name}")
+    unbounded = [name for memo, name in memos.items() if memo.cache_info().maxsize is None]
+    assert unbounded == ["gains.shared_part", "gains._bounds"]
+    assert "bigmath._quantum" in memos.values()
+    # A fill that finds the log table full empties it before it stores,
+    # nested fills of p - 1's primes included, and a dropped log is taken
+    # again to the same value.
+    keys = [*range(2, 600), 10 ** 8 + 7, 2 ** 61 - 1]
+    bigmath.clear_ln_cache()
+    expected = [bigmath.ln_cached(v) for v in keys]
+    assert len(bigmath._ln_cache) > 64
+    monkeypatch.setattr(bigmath, "_LN_HELD", 64)
+    bigmath.clear_ln_cache()
+    sizes = []
+    for v, value in zip(keys, expected):
+        assert bigmath.ln_cached(v) == value
+        sizes.append(len(bigmath._ln_cache))
+    # Full at 64, and emptied at least once.
+    assert max(sizes) == 64 and sizes != sorted(sizes)
 
 
 def test_traced_names_bind_one_object():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gainlab import gains
-from gainlab.bigmath import CTX, ipow, ln_exact, ln_product
+from gainlab.bigmath import CTX, ipow, ln_exact, ln_product, ln_sums
 from gainlab.gains import (
     COPRIMALITY_VIOLATION,
     IDENTITY_VIOLATION,
@@ -375,6 +375,30 @@ class TestBoundFormulas:
         # A finished row's key, as the CLI renders rows a batch behind.
         assert gains._bounds(*narrow[-1]) == before[narrow[-1]]
         assert gains._bounds.cache_info().currsize == 1
+
+    def test_parts_empty_exactly_when_the_bounds_do(self, monkeypatch):
+        # shared_part has no size of its own: it keeps every part until
+        # _bounds empties itself, and then empties too.  A dropped part is
+        # taken again to the same ln_sums.
+        monkeypatch.setattr(gains, "_HELD", 8)
+        gains._bounds.cache_clear()
+        gains.shared_part.cache_clear()
+        parts = {}
+        for y in range(2, 22):
+            gains._bounds(3, 2, 11, y)
+            parts[y] = gains.shared_part((y, 11))
+        assert parts[12] == ln_sums(((2, 2), (3, 1), (11, 1)))
+        assert gains.shared_part.cache_info().currsize == 20
+        # A key of a new row finds _HELD keys held: both memos empty.
+        gains._bounds(3, 2, 3, 2)
+        assert gains._bounds.cache_info().currsize == 1
+        assert gains.shared_part.cache_info().currsize == 0
+        gains.shared_part((2, 3))
+        # The next new row finds 1 key held, under _HELD: nothing empties.
+        gains._bounds(3, 2, 5, 2)
+        assert gains._bounds.cache_info().currsize == 2
+        assert gains.shared_part.cache_info().currsize == 1
+        assert [gains.shared_part((y, 11)) for y in parts] == list(parts.values())
 
     def test_reports_and_bounds_share_one_ln_c(self, counted_logs):
         # analyze --n 2 --x 157 --y 91 --A 1 --B 3 --k 194: G_a and

@@ -866,6 +866,19 @@ class TestScreen:
             parts = {(s.x, s.A) for s in solutions} | {(s.y, s.B) for s in solutions}
             assert sorted(shared) == sorted(set(shared)) and set(shared) <= parts
 
+    def test_a_row_wider_than_the_held_keys_takes_each_part_once(self):
+        # hunt --n 2 --x 2:5 --y 2:6000 --A 1 --B 1: each x walks the row's
+        # y again, and the row has more parts than gains._HELD = 4,096 keys;
+        # an LRU of 4,096 parts took its 5,799 parts 9,331 times.  The parts
+        # memo empties only with gains._bounds, whose one row is never dropped.
+        box = derived_box((2, 2), (2, 5), (2, 6000), (1, 1), (1, 1), q_threshold=Decimal("1.2"))
+        gains._bounds.cache_clear()
+        gains.shared_part.cache_clear()
+        hunt_derived_k(box)
+        candidates = [(x, y) for x in range(2, 6) for y in range(x + 1, 6001) if math.gcd(x, y) == 1]
+        parts = {(x, 1) for x, _ in candidates} | {(y, 1) for _, y in candidates}
+        assert gains.shared_part.cache_info().misses == len(parts) == 5799
+
     @given(st.integers(min_value=2, max_value=2 ** 256))
     @example(2 ** 53 + 1)
     @example(2 ** 256)
