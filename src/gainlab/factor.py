@@ -8,7 +8,8 @@ budget.  Trial division takes the gcd of the value with the product of
 each of three blocks of those primes (Bernstein, "How to find smooth
 parts of integers", 2004), divides out the primes of each gcd as it finds
 them, and stops at the first block whose least prime squared exceeds what
-is left of the value.
+is left of the value.  A threshold hunt reads a radical between the two
+stages, and splits no cofactor below 10^12 for a tuple it drops (_Trialled).
 A blown budget is always a reported error carrying the partial result,
 never a silently incomplete radical: a wrong radical would corrupt every
 gain value computed from it.
@@ -262,10 +263,16 @@ def factorize(v: int, budget: int | None = None) -> Factorization:
 
 def _factorize(v: int, tracker: _Budget) -> Factorization:
     """factorize(v), spending rho iterations from tracker."""
+    counts: dict[int, int] = {}
+    _split(v, counts, _trial(v, counts), tracker)
+    return Factorization(tuple(sorted(counts.items())), True)
+
+
+def _trial(v: int, counts: dict[int, int]) -> list[tuple[int, int]]:
+    """Add v's primes below _TRIAL_LIMIT to counts; [(rem, 1)] if a cofactor rem is left to split."""
     require_int("v", v)
     if v < 1:
         raise ValueError("factorize expects an integer >= 1")
-    counts: dict[int, int] = {}
     rem = v
     # Each block's primes are divided out of rem as its gcd finds them, and
     # the next block is tested and gcd'd against what is left.  The gcd g is
@@ -287,38 +294,65 @@ def _factorize(v: int, tracker: _Budget) -> Factorization:
             while rem % p == 0:
                 rem //= p
                 e += 1
-            counts[p] = e
+            counts[p] = counts.get(p, 0) + e
+    # rem has no prime factor below the least prime of the first block left
+    # out (or below _TRIAL_LIMIT), so it is 1 or a prime below its square.
+    if rem >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+        return [(rem, 1)]
     if rem > 1:
-        # rem has no prime factor below the least prime of the first block
-        # left out (or below _TRIAL_LIMIT), so it is prime below its square.
-        if rem < _TRIAL_LIMIT * _TRIAL_LIMIT:
-            counts[rem] = 1
+        counts[rem] = counts.get(rem, 0) + 1
+    return []
+
+
+def _split(v: int, counts: dict[int, int], stack: list, tracker: _Budget, floor: int = 0) -> list:
+    """Split each (t, m) of stack, t**m dividing v, into counts; return those with t < floor unsplit.
+
+    No t has a prime factor below _TRIAL_LIMIT, so a t below its square is prime untested.
+    """
+    left = []
+    while stack:
+        t, m = stack.pop()
+        if t < floor:
+            left.append((t, m))
+        elif t < _TRIAL_LIMIT ** 2 or is_prime(t):
+            counts[t] = counts.get(t, 0) + m
+        elif root := _prime_index_root(t):
+            stack.append((root[0], m * root[1]))
         else:
             tracker.start()
-            # (t, m): t**m divides rem and is still to be split.
-            stack = [(rem, 1)]
-            while stack:
-                t, m = stack.pop()
-                if is_prime(t):
-                    counts[t] = counts.get(t, 0) + m
-                    continue
-                root = _prime_index_root(t)
-                if root is not None:
-                    r, k = root
-                    stack.append((r, m * k))
-                    continue
-                try:
-                    d = _brent_rho(t, tracker)
-                except _BudgetSpent:
-                    cofactor = t ** m
-                    for other, j in stack:
-                        cofactor *= other ** j
-                    partial = Factorization(tuple(sorted(counts.items())), False)
-                    raise FactorBudgetExceeded(v, partial, cofactor) from None
-                stack.append((d, m))
-                stack.append((t // d, m))
+            try:
+                d = _brent_rho(t, tracker)
+            except _BudgetSpent:
+                cofactor = math.prod(u ** j for u, j in (*stack, *left, (t, m)))
+                partial = Factorization(tuple(sorted(counts.items())), False)
+                raise FactorBudgetExceeded(v, partial, cofactor) from None
+            stack += (d, m), (t // d, m)
+    return left
 
-    return Factorization(tuple(sorted(counts.items())), True)
+
+class _Trialled(tuple):
+    """A product's components, trial divided, with their cofactors below L**3 unsplit.
+
+    What trial division leaves has no prime factor below L = _TRIAL_LIMIT,
+    so a cofactor t < L**3 has at most two (three would exceed L**3): it is
+    p, p*q or p**2, and rad(t) is isqrt(t) if t is a square, else t.  So
+    radical, the product's, takes no Miller-Rabin test, root or rho step on
+    such a t; larger cofactors are split first, within budget, down to
+    parts below L**3, read the same way.  Components and cofactors may
+    share primes, so radical is the lcm of these squarefree values.
+    factorize_product(trialled) splits what is left, from what is left of
+    the budget, and gives factorize_product(tuple(trialled), budget)'s
+    factorization, or raises FactorBudgetExceeded where that raises it.
+    """
+
+    def __new__(cls, components: tuple[int, ...], budget: int | None) -> _Trialled:
+        self = super().__new__(cls, components)
+        self.tracker, self.counts, self.left = _Budget(budget), {}, []
+        for c in components:
+            self.left += _split(c, self.counts, _trial(c, self.counts), self.tracker, _TRIAL_LIMIT ** 3)
+        squarefree = [r if r * r == t else t for t, _ in self.left for r in [math.isqrt(t)]]
+        self.radical = math.lcm(math.prod(self.counts), *squarefree)
+        return self
 
 
 def factorize_product(components: tuple[int, ...] | list[int], budget: int | None = None) -> Factorization:
@@ -333,6 +367,9 @@ def factorize_product(components: tuple[int, ...] | list[int], budget: int | Non
     A single component's factorization is returned as it is.
     """
     counts: dict[int, int] = {}
+    if isinstance(components, _Trialled):
+        _split(math.prod(components), components.counts, components.left, components.tracker)
+        return Factorization(tuple(sorted(components.counts.items())), True)
     tracker = _Budget(budget)
     for c in components:
         if type(c) is int and c < _TRIAL_LIMIT:

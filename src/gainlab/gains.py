@@ -35,7 +35,7 @@ from .bigmath import (
     CTX, LN_PRECISION, display, int_text, ln_exact, ln_power_and_radical, ln_product,
     ln_sums, require_int,
 )
-from .factor import Factorization, factorize_product
+from .factor import factorize_product
 
 NON_TRIVIAL = "non_trivial"
 TRIVIAL_X = "trivial_x"
@@ -397,19 +397,16 @@ def compute_gains(
 _LOG_ERR = 2.0 ** -51
 
 
-def quality_below(s: Solution, threshold: Decimal, factorization: Factorization, *parts) -> bool:
+def quality_below(s: Solution, threshold: Decimal, R: int) -> bool:
     """True only if s's 64-digit quality q is proven below threshold.
 
-    A float screen for threshold hunts, run before any 64-digit log.  It
-    takes factorization = factorize_product((x, y, A, B, k)), or that of
-    some coprime parts of P with the others' shared_part values, as the
-    report's ln_sums then reads them, and tests
+    A float screen for threshold hunts, run before any 64-digit log and
+    before P is factored in full.  It takes the exact R = rad(P) and tests
 
         ln C < t * ln R * (1 - 2**-48),
 
-    with R = rad(P), the product of the factorization's primes and the
-    parts' radicals, ln C = log(B) + n*log(y), every log taken by math.log,
-    and t = float(threshold).  It rejects nothing when t is inf, nan or at
+    with ln C = log(B) + n*log(y), every log taken by math.log, and
+    t = float(threshold).  It rejects nothing when t is inf, nan or at
     most 0, or when R = 1: the right side is then inf, nan or at most 0.
 
     Proof that a rejected tuple has q < threshold.  Let u = 2**-53, the unit
@@ -433,7 +430,6 @@ def quality_below(s: Solution, threshold: Decimal, factorization: Factorization,
     logs, within 10**-62 of q relatively, so it is below threshold too:
     compute_gains' report would have been dropped.
     """
-    R = math.prod((part[4] for part in parts), start=factorization.radical())
     ln_c = math.log(s.B) + s.n * math.log(s.y)
     return ln_c < float(threshold) * math.log(R) * (1.0 - 2.0 ** -48) < math.inf
 

@@ -8,24 +8,25 @@ after a long gap), and steps y up while k stays inside the window.
 fixed_k takes the box's k window; derived_k (a hunt) takes every k from
 1 up.  No power is tabulated, so scan memory does not grow with the
 width of any axis.  A derived_k hunt with a quality threshold screens
-each factored tuple in floats first and builds 64-digit reports only for
-those not proven below it.  A deliberately dumb brute-force oracle backs
-both in tests: it loops over every (n, A, B, x, y), derives k, and
-refuses a box of more such cells than its ceiling.  Boxes split into
-disjoint sub-boxes whose merged results are identical to a single-box
-run, so parallel schedules cannot change output.
+each tuple in floats once k is trial divided, and factors k in full and
+builds a 64-digit report only if not proven below it.  A deliberately
+dumb brute-force oracle backs both in tests: it loops over every
+(n, A, B, x, y), derives k, and refuses a box of more such cells than
+its ceiling.  Boxes split into disjoint sub-boxes whose merged results
+are identical to a single-box run, so parallel schedules cannot change
+output.
 """
 
 from __future__ import annotations
 
 import sys
 from decimal import Decimal
-from math import gcd, inf
+from math import gcd, inf, prod
 from time import perf_counter
 from typing import NamedTuple
 
 from .bigmath import CTX, LN_PRECISION, int_text, ln_sums, nth_root_floor
-from .factor import FactorBudgetExceeded, factorize_product
+from .factor import FactorBudgetExceeded, _Trialled, factorize_product
 from .gains import (
     PARAM_FLOORS,
     GainReport,
@@ -138,10 +139,7 @@ def iterated_axes(mode: str) -> tuple[str, ...]:
 def cell_count(box: SearchBox) -> int:
     """Number of tuples the mode's loops visit (after the x floor)."""
     floored = _floored(box)
-    out = 1
-    for axis in iterated_axes(box.mode):
-        out *= _axis_width(floored, axis)
-    return out
+    return prod(_axis_width(floored, axis) for axis in iterated_axes(box.mode))
 
 
 class _Progress:
@@ -216,11 +214,13 @@ def _scan(
     (gains.shared_part, emptied with gains._bounds), as x and y recur over
     windows of candidates.  When one of them may need rho, or in fixed_k
     mode, whose x and y come about once each, it factors x, y, A, B and k.
-    The screen and the report read the same factors and parts.  In derived_k
-    mode only, a q_threshold drops reports of lower known quality; with
-    screen, candidates that quality_below proves below it are dropped before
-    their report is built.  Each kept (solution, report) pair goes to sink
-    as it is found, in scan order; returns the cells scanned.
+    In derived_k mode only, a q_threshold drops reports of lower known
+    quality.  With screen, rad(P) is read after trial division of what the
+    candidate factors (factor._Trialled), before any split of a cofactor
+    below 10^12; a candidate that quality_below proves below the threshold
+    is dropped there, and a kept one is factored on from there and gets its
+    report.  Each kept (solution, report) pair goes to sink as it is found,
+    in scan order; returns the cells scanned.
     """
     b = _normalized(box, mode)
     total = cell_count(b)
@@ -235,14 +235,16 @@ def _scan(
         parts = (shared_part((x, A)), shared_part((y, B))) if hunt else (None,)
         own, parts = ((x, y, A, B, k), ()) if None in parts else ((k,), parts)
         try:
+            if screened is not None:
+                own = _Trialled(own, budget)
+                if quality_below(s, screened, prod((p[4] for p in parts), start=own.radical)):
+                    continue
             f = factorize_product(own, budget=budget)
         except FactorBudgetExceeded:
             # The solution itself is exact; only radical-dependent fields are
             # unavailable, and they are reported as such rather than dropped.
             report = compute_gains_partial(s)
         else:
-            if screened is not None and quality_below(s, screened, f, *parts):
-                continue
             report = compute_gains(s, sums=ln_sums(f.factors, *parts))
         if threshold is not None and report.q is not None and report.q < threshold:
             continue
@@ -286,11 +288,7 @@ def _window(b: SearchBox) -> tuple[int, int | float, int]:
 
 def _window_cells(b: SearchBox, progress: _Progress):
     """Each coprime candidate of b's k window as a Solution, proven as it is found."""
-    n_lo, n_hi = b.n_range
-    x_lo, x_hi = b.x_range
-    y_lo, y_hi = b.y_range
-    a_lo, a_hi = b.A_range
-    b_lo, b_hi = b.B_range
+    (n_lo, n_hi), (x_lo, x_hi), (y_lo, y_hi), (a_lo, a_hi), (b_lo, b_hi) = b[:5]
     k_lo, k_hi, per_x = _window(b)
     for n in range(n_lo, n_hi + 1):
         for A in range(a_lo, a_hi + 1):
@@ -383,12 +381,12 @@ def hunt_derived_k(
     of cells per x, but never visited.  Each tuple past the exact
     coprimality gate is a Solution proven by construction, with no
     validate_solution call.  An optional q_threshold keeps only solutions
-    with q >= threshold.  With a threshold the k of every coprime tuple
-    is still factored (_scan shares the rest), but only the tuples that
-    the proven float screen (gains.quality_below) does not place below
-    the threshold get 64-digit logs and a report; the exact comparison
-    then decides.  A tuple whose factorization exceeds the budget gets a
-    partial report, which the threshold never drops.
+    with q >= threshold.  With a threshold, only the tuples that the
+    proven float screen (gains.quality_below) does not place below the
+    threshold have k factored in full and get 64-digit logs and a report;
+    the exact comparison then decides.  A tuple whose factorization
+    exceeds the budget gets a partial report, which the threshold keeps,
+    unless the screen, which splits no part of k below 10^12, drops it.
     Output is sorted by descending q with canonical order breaking ties.
     """
     return _collect(box, DERIVED_K, cell_ceiling, budget, _window_cells, screen=True)
@@ -399,11 +397,7 @@ def _oracle_cells(b: SearchBox, progress: _Progress):
     visited = cell_count(b._replace(mode=DERIVED_K))
     if visited > ORACLE_CELL_CEILING:
         raise BoxTooLarge(visited, ORACLE_CELL_CEILING)
-    n_lo, n_hi = b.n_range
-    x_lo, x_hi = b.x_range
-    y_lo, y_hi = b.y_range
-    a_lo, a_hi = b.A_range
-    b_lo, b_hi = b.B_range
+    (n_lo, n_hi), (x_lo, x_hi), (y_lo, y_hi), (a_lo, a_hi), (b_lo, b_hi) = b[:5]
     k_lo, k_hi, per_x = _window(b)
     for n in range(n_lo, n_hi + 1):
         for A in range(a_lo, a_hi + 1):
@@ -448,19 +442,12 @@ def split_box(box: SearchBox, parts: int, axis: str | None = None) -> tuple[Sear
         axis = max(allowed, key=lambda a: _axis_width(box, a))
     if axis not in allowed:
         raise ValueError(f"axis {axis!r} is not iterated in mode {box.mode!r}")
-    rng = getattr(box, f"{axis}_range")
-    lo, hi = rng
-    width = hi - lo + 1
-    parts = min(parts, width)
-    base, extra = divmod(width, parts)
-    boxes = []
-    cursor = lo
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        sub = (cursor, cursor + size - 1)
-        boxes.append(box._replace(**{f"{axis}_range": sub}))
-        cursor += size
-    return tuple(boxes)
+    lo, hi = getattr(box, f"{axis}_range")
+    parts = min(parts, hi - lo + 1)
+    # Part i starts after i parts of base values, the first extra of them one longer.
+    base, extra = divmod(hi - lo + 1, parts)
+    starts = [lo + i * base + min(i, extra) for i in range(parts + 1)]
+    return tuple(box._replace(**{f"{axis}_range": (a, b - 1)}) for a, b in zip(starts, starts[1:]))
 
 
 def merge_results(results, mode: str) -> SearchResult:

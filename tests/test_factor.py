@@ -451,3 +451,66 @@ class TestSharedBudget:
             factorize_product((self.HARD_K, self.HARD_K))
         monkeypatch.setenv(BUDGET_ENV_VAR, str(2 * m))
         assert factorize_product((self.HARD_K, self.HARD_K)).complete
+
+
+class TestTwoPrimeRule:
+    """A threshold hunt reads a rough cofactor below 10**12 from one isqrt.
+
+    What trial division leaves has no prime factor below 10**4, so below
+    10**12 it is p, p*q or p**2, and _Trialled.radical takes no
+    Miller-Rabin test and no rho step on it.
+    """
+
+    rough_primes = st.integers(10007, 10 ** 6 - 1).map(lambda v: sympy.prevprime(v + 1))
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("split stage reached")
+
+    @given(
+        st.one_of(
+            rough_primes.map(lambda p: (p,)),
+            rough_primes.map(lambda p: (p, p)),
+            st.tuples(rough_primes, rough_primes).filter(lambda pq: pq[0] != pq[1]),
+        ),
+        st.tuples(*[st.integers(0, 8)] * 4),
+    )
+    @example((999983, 999979), (0, 0, 0, 0))  # the largest p*q below 10**12
+    @example((10007, 10007), (1, 0, 0, 0))
+    # At least 10**12, so the rule must not read them: p*q*r and p**2*q,
+    # whose isqrt is no root.
+    @example((10007, 10009, 10037), (0, 0, 0, 0))
+    @example((10007, 10007, 10009), (0, 1, 0, 1))
+    def test_radical_agrees_with_sympy(self, rough, exponents):
+        t = math.prod(rough)
+        k = t * math.prod(p ** e for p, e in zip((2, 3, 5, 7), exponents))
+        expected = math.prod(sympy.primefactors(k))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factor, "_brent_rho", self.refuse)
+            patch.setattr(factor, "is_prime", self.refuse)
+            if t < 10 ** 12:
+                assert factor._Trialled((k,), None).radical == expected
+            else:
+                with pytest.raises(AssertionError, match="split stage"):
+                    factor._Trialled((k,), None)
+        trialled = factor._Trialled((k,), None)
+        assert trialled.radical == expected
+        # A kept tuple resumes from the held cofactors to the same factors.
+        assert factorize_product(trialled) == factorize(k)
+
+    def test_components_may_share_primes(self):
+        p, q = 10007, 10009
+        trialled = factor._Trialled((p * q, 6 * q * q, p), None)
+        assert trialled.radical == 6 * p * q
+        assert factorize_product(trialled) == factorize_product((p * q, 6 * q * q, p))
+
+    def test_one_budget_for_both_stages(self):
+        # 10007 * 10037 * 10**6: the rule reads its radical with no rho
+        # step, and the resumed split spends the budget factorize_product
+        # would.
+        k = 10007 * 10037 * 10 ** 6
+        m = TestSharedBudget().least_budget()
+        assert factor._Trialled((k,), 0).radical == 10 * 10007 * 10037
+        with pytest.raises(FactorBudgetExceeded):
+            factorize_product(factor._Trialled((k, k), m))
+        assert factorize_product(factor._Trialled((k, k), 2 * m)) == factorize_product((k, k))

@@ -731,14 +731,31 @@ class TestBudgetPartials:
         assert g.q is None and g.G_a is not None
 
     def test_threshold_keeps_unknown_quality(self):
+        # k = 2x + 1 = 10007 * 10009 * 10037 is at least 10**12, so the
+        # screen must split it, and 10 rho iterations do not.
+        x = (10007 * 10009 * 10037 - 1) // 2
         box = derived_box(
-            (2, 2), (15, 15), (10022, 10022), (1, 1), (1, 1),
+            (2, 2), (x, x), (x + 1, x + 1), (1, 1), (1, 1),
             q_threshold=Decimal("100"),
         )
         result = hunt_derived_k(box, budget=10)
         # Quality is unknown, so the threshold cannot justify dropping it.
         assert len(result.solutions) == 1
         assert result.solutions[0][1].q is None
+
+    def test_threshold_drops_a_settled_radical_without_rho(self, monkeypatch):
+        # k = HARD_K = 10007 * 10037 is below 10**12: its radical is read
+        # from one isqrt, q < 100 is proven, and no rho iteration is spent,
+        # where a partial report was once kept.
+        def refuse(*args):
+            raise AssertionError("rho entered")
+
+        monkeypatch.setattr(factor, "_brent_rho", refuse)
+        box = derived_box(
+            (2, 2), (15, 15), (10022, 10022), (1, 1), (1, 1),
+            q_threshold=Decimal("100"),
+        )
+        assert hunt_derived_k(box, budget=10).solutions == ()
 
 
 class TestFactorMemo:
@@ -822,20 +839,41 @@ class TestScreen:
         monkeypatch.setattr(
             search, "compute_gains", lambda s, **kw: built.append(s) or compute_gains(s, **kw)
         )
+        calls = collections.Counter()
+        for name in ("_brent_rho", "is_prime"):
+            original = getattr(factor, name)
+            monkeypatch.setattr(
+                factor, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a)
+            )
         clear_ln_cache()
+        gains._bounds.cache_clear()
+        gains.shared_part.cache_clear()
         result = hunt_derived_k(box)
         # 4,512 coprime tuples; only the 10 kept ones get a report, and the
         # 64-digit logs are those of their primes and bound parameters.
         assert len(result.solutions) == 10
         assert sorted(s.canonical_key() for s in built) == sorted(keys(result))
         assert len(bigmath._ln_cache) < 100
+        # The screen reads a rough cofactor below 10**12 with no primality
+        # test or rho; factoring every k in full took 895 rho calls and
+        # 4,073 primality tests.
+        assert calls == {"_brent_rho": 482, "is_prime": 955}
 
     def test_screen_rejects_nothing_it_cannot_prove(self):
         s = validate_solution(5, 9, 23, 109, 1, 2)
-        f = factorize_product((9, 23, 109, 1, 2))
+        R = factorize_product((9, 23, 109, 1, 2)).radical()
         for t in ("1e400", "NaN", "-Infinity", "1e-310", "1e-400", "0", "-2", "1.629911684127048"):
-            assert not quality_below(s, Decimal(t), f), t
-        assert quality_below(s, Decimal("1.629911684128"), f)
+            assert not quality_below(s, Decimal(t), R), t
+        assert quality_below(s, Decimal("1.629911684128"), R)
+        # Here the float logs put q more than two unit roundoffs low, so a
+        # screen with no margin would reject a threshold two unit
+        # roundoffs below the exact q.
+        s = validate_solution(6, 7, 18, 1, 2, 67906799)
+        q = gains.compute_gains(s).q
+        t = CTX.multiply(q, 1 - Decimal(2) ** -52)
+        R = factorize_product((7, 18, 1, 2, 67906799)).radical()
+        assert t < q and not quality_below(s, t, R)
+        assert math.log(2) + 6 * math.log(18) < float(t) * math.log(R)
 
     def test_each_tuple_is_factored_once(self, monkeypatch):
         # Every tuple has q > 0.1, so the screen keeps all of them and each
