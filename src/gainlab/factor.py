@@ -9,7 +9,7 @@ each of three blocks of those primes (Bernstein, "How to find smooth
 parts of integers", 2004), divides out the primes of each gcd as it finds
 them, and stops at the first block whose least prime squared exceeds what
 is left of the value.  A threshold hunt reads a radical between the two
-stages, and splits no cofactor below 10^12 for a tuple it drops (_Trialled).
+stages, and splits no cofactor below 10^15 for a tuple it drops (_Trialled).
 A blown budget is always a reported error carrying the partial result,
 never a silently incomplete radical: a wrong radical would corrupt every
 gain value computed from it.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import compress
 from typing import NamedTuple
 
 from .bigmath import int_text, nth_root_floor, require_int
@@ -29,8 +30,9 @@ BUDGET_ENV_VAR = "GAINLAB_FACTOR_BUDGET"
 # Trial division handles every prime factor below this limit, so any
 # remaining cofactor below its square is itself prime.
 _TRIAL_LIMIT = 10 ** 4
-# Every prime left after trial division exceeds 2**_ROOT_BITS.
-_ROOT_BITS = _TRIAL_LIMIT.bit_length() - 1
+# A threshold hunt's screen also takes gcds with the products of the primes
+# in [_TRIAL_LIMIT, _WIDE_LIMIT), in blocks of _WIDE_STEP integers.
+_WIDE_LIMIT, _WIDE_STEP = 10 ** 5, 5000
 
 # Miller-Rabin witness sets by size: the first j prime bases prove
 # primality for every odd n below psi_j, the least strong pseudoprime to
@@ -54,24 +56,37 @@ _MR_EXTENDED = _MR_WITNESSES + (
 )
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+def _sieve(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), lo >= 2: each multiple of a prime p < sqrt(hi) but p is struck."""
+    flags = bytearray([1]) * (hi - lo)
+    for p in _sieve(2, math.isqrt(hi - 1) + 1) if hi > 4 else ():
+        start = max(p * p - lo, -lo % p)
+        flags[start::p] = bytes(len(range(start, hi - lo, p)))
+    return list(compress(range(lo, hi), flags))
 
 
-_SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+_SMALL_PRIMES = tuple(_sieve(2, _TRIAL_LIMIT))
 # The small primes in blocks [2, 100), [100, 1000) and [1000, _TRIAL_LIMIT),
-# each with its least prime and its product.  A value below the square of a
-# block's least prime needs no gcd with that block's product or any later one.
+# each as (least prime squared, product, primes).  A value below a block's
+# bound needs no gcd with that block's product or any later one.
 _PRIME_BLOCKS = tuple(
-    (block[0], math.prod(block), block)
+    (block[0] ** 2, math.prod(block), block)
     for lo, hi in ((2, 100), (100, 1000), (1000, _TRIAL_LIMIT))
     for block in [tuple(p for p in _SMALL_PRIMES if lo <= p < hi)]
 )
+# The primes in [_TRIAL_LIMIT, _WIDE_LIMIT) as blocks (least prime cubed, product, ()),
+# each sieved from its own window of _WIDE_STEP integers when first reached.
+_WIDE_BLOCKS: list[tuple[int, int, tuple]] = []
+
+
+def _screen_blocks():
+    """Yield _PRIME_BLOCKS, then the wide blocks, building each on first use."""
+    yield from _PRIME_BLOCKS
+    for i, lo in enumerate(range(_TRIAL_LIMIT, _WIDE_LIMIT, _WIDE_STEP)):
+        if i == len(_WIDE_BLOCKS):
+            block = _sieve(lo, lo + _WIDE_STEP)
+            _WIDE_BLOCKS.append((block[0] ** 3, math.prod(block), ()))
+        yield _WIDE_BLOCKS[i]
 
 
 class Factorization(NamedTuple):
@@ -222,11 +237,11 @@ def _prime_index_root(n: int) -> tuple[int, int] | None:
     """(r, k) with r**k == n for the least prime k below _TRIAL_LIMIT, or None.
 
     n has no prime factor below _TRIAL_LIMIT, so a root r exceeds
-    2**_ROOT_BITS and only indices k with _ROOT_BITS*k < n.bit_length() can
-    hold.  The roots are exact and spend no rho budget.
+    _TRIAL_LIMIT and only indices k with _TRIAL_LIMIT**k < n can hold.  The
+    roots are exact and spend no rho budget.
     """
     for k in _SMALL_PRIMES:
-        if _ROOT_BITS * k >= n.bit_length():
+        if _TRIAL_LIMIT ** k > n:
             return None
         r = nth_root_floor(n, k)
         if r ** k == n:
@@ -268,8 +283,11 @@ def _factorize(v: int, tracker: _Budget) -> Factorization:
     return Factorization(tuple(sorted(counts.items())), True)
 
 
-def _trial(v: int, counts: dict[int, int]) -> list[tuple[int, int]]:
-    """Add v's primes below _TRIAL_LIMIT to counts; [(rem, 1)] if a cofactor rem is left to split."""
+def _trial(v: int, counts: dict[int, int], held: list | None = None) -> list[tuple[int, int]]:
+    """Add v's primes below _TRIAL_LIMIT to counts; [(rem, 1)] if a cofactor rem is left to split.
+
+    With held, the wide blocks follow (_screen_blocks): their gcds go to held as (g, 1).
+    """
     require_int("v", v)
     if v < 1:
         raise ValueError("factorize expects an integer >= 1")
@@ -277,8 +295,8 @@ def _trial(v: int, counts: dict[int, int]) -> list[tuple[int, int]]:
     # Each block's primes are divided out of rem as its gcd finds them, and
     # the next block is tested and gcd'd against what is left.  The gcd g is
     # a product of distinct primes of the block, so only g is trial divided.
-    for least, product, block in _PRIME_BLOCKS:
-        if least * least > rem:
+    for bound, product, block in _PRIME_BLOCKS if held is None else _screen_blocks():
+        if bound > rem:
             break
         g = math.gcd(rem, product)
         for p in block:
@@ -295,8 +313,12 @@ def _trial(v: int, counts: dict[int, int]) -> list[tuple[int, int]]:
                 rem //= p
                 e += 1
             counts[p] = counts.get(p, 0) + e
-    # rem has no prime factor below the least prime of the first block left
-    # out (or below _TRIAL_LIMIT), so it is 1 or a prime below its square.
+        while g > 1:  # a wide block lists no primes: its gcd is held unsplit
+            rem //= g
+            held.append((g, 1))
+            g = math.gcd(rem, g)
+    # rem has no prime factor below _TRIAL_LIMIT, or it is below the square of
+    # the least prime of a small block left out: below L**2 it is 1 or a prime.
     if rem >= _TRIAL_LIMIT * _TRIAL_LIMIT:
         return [(rem, 1)]
     if rem > 1:
@@ -331,25 +353,28 @@ def _split(v: int, counts: dict[int, int], stack: list, tracker: _Budget, floor:
 
 
 class _Trialled(tuple):
-    """A product's components, trial divided, with their cofactors below L**3 unsplit.
+    """A product's components, trial divided, with their cofactors below W**3 unsplit.
 
-    What trial division leaves has no prime factor below L = _TRIAL_LIMIT,
-    so a cofactor t < L**3 has at most two (three would exceed L**3): it is
-    p, p*q or p**2, and rad(t) is isqrt(t) if t is a square, else t.  So
-    radical, the product's, takes no Miller-Rabin test, root or rho step on
-    such a t; larger cofactors are split first, within budget, down to
-    parts below L**3, read the same way.  Components and cofactors may
-    share primes, so radical is the lcm of these squarefree values.
-    factorize_product(trialled) splits what is left, from what is left of
-    the budget, and gives factorize_product(tuple(trialled), budget)'s
-    factorization, or raises FactorBudgetExceeded where that raises it.
+    A cofactor t < b**3 with no prime factor below b is 1, p, p*q or p**2
+    (three primes would make it b**3 or more): rad(t) is isqrt(t) if t is a
+    square, else t.  Trial division leaves no prime below _TRIAL_LIMIT; the
+    wide blocks take those below W = _WIDE_LIMIT out of t until t < b**3, b
+    the next block's least prime, and a t still W**3 or more, with no prime
+    below W, is split within budget to parts below W**3.  The gcds are held
+    unsplit, squarefree, so radical, an lcm of squarefree values (cofactors
+    may share primes), takes no Miller-Rabin test, root or rho step below
+    W**3.  factorize_product(trialled) splits what is held, from what is
+    left of the budget, to factorize_product(tuple(trialled))'s factors;
+    rho meets the gcds' pieces, not whole cofactors, so either may run out
+    of budget where the other does not.
     """
 
     def __new__(cls, components: tuple[int, ...], budget: int | None) -> _Trialled:
         self = super().__new__(cls, components)
         self.tracker, self.counts, self.left = _Budget(budget), {}, []
         for c in components:
-            self.left += _split(c, self.counts, _trial(c, self.counts), self.tracker, _TRIAL_LIMIT ** 3)
+            rough = _trial(c, self.counts, self.left)  # the gcds go to left
+            self.left += _split(c, self.counts, rough, self.tracker, _WIDE_LIMIT ** 3)
         squarefree = [r if r * r == t else t for t, _ in self.left for r in [math.isqrt(t)]]
         self.radical = math.lcm(math.prod(self.counts), *squarefree)
         return self

@@ -217,7 +217,7 @@ def _scan(
     In derived_k mode only, a q_threshold drops reports of lower known
     quality.  With screen, rad(P) is read after trial division of what the
     candidate factors (factor._Trialled), before any split of a cofactor
-    below 10^12; a candidate that quality_below proves below the threshold
+    below 10^15; a candidate that quality_below proves below the threshold
     is dropped there, and a kept one is factored on from there and gets its
     report.  Each kept (solution, report) pair goes to sink as it is found,
     in scan order; returns the cells scanned.
@@ -386,7 +386,7 @@ def hunt_derived_k(
     threshold have k factored in full and get 64-digit logs and a report;
     the exact comparison then decides.  A tuple whose factorization
     exceeds the budget gets a partial report, which the threshold keeps,
-    unless the screen, which splits no part of k below 10^12, drops it.
+    unless the screen, which splits no part of k below 10^15, drops it.
     Output is sorted by descending q with canonical order breaking ties.
     """
     return _collect(box, DERIVED_K, cell_ceiling, budget, _window_cells, screen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gainlab import bigmath, cli, gains, runs
+from gainlab import bigmath, cli, factor, gains, runs
 from gainlab.bigmath import DISPLAY_DIGITS, display, round_sig
 from gainlab.cli import (
     EXIT_INVALID,
@@ -891,6 +891,53 @@ class TestForcedSpills:
         assert 0 < qs.count(None) < len(qs)
         qs = [g.q for _, g in library_solutions(spill_case(monkeypatch, "hunt-tied-q"))]
         assert len(set(qs)) < len(qs)
+
+
+# Boxes whose bytes must not depend on any memo, spill or batch size: a
+# hunt, a threshold hunt whose k reach the screen's wide blocks of primes
+# below 10**5, and a fixed-k search.
+SMALL_SETTINGS_CASES = {
+    "hunt": ["hunt", "--n", "2:4", "--x", "2:12", "--y", "2:12", "--A", "1:3", "--B", "1:2"],
+    "hunt-threshold": [
+        "hunt", "--n", "7:12", "--x", "2:16", "--y", "2:16", "--A", "1:2", "--B", "1:2",
+        "--q-threshold", "0.95",
+    ],
+    "search": [
+        "search", "--n", "2:3", "--x", "2:20", "--y", "2:60", "--A", "1:3", "--B", "1:3",
+        "--k", "1:30",
+    ],
+}
+
+
+class TestAllSmallSettings:
+    """With every memo, spill and batch size small at once, stdout is unchanged."""
+
+    @staticmethod
+    def cold_run(capsys, argv):
+        factor.clear_cache()
+        bigmath.clear_ln_cache()
+        gains._bounds.cache_clear()
+        gains.shared_part.cache_clear()
+        code, out, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("case", list(SMALL_SETTINGS_CASES))
+    def test_stdout_equals_the_default_run(self, capsys, monkeypatch, case, fmt):
+        argv = SMALL_SETTINGS_CASES[case] + ["--format", fmt]
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        monkeypatch.setattr(factor, "_WIDE_BLOCKS", [])
+        default = self.cold_run(capsys, argv)
+        # The default run holds more than the small settings allow.
+        assert gains._bounds.cache_info().currsize > 8 and len(default) > 3000
+        assert bool(factor._WIDE_BLOCKS) == (case == "hunt-threshold")
+        monkeypatch.setattr(gains, "_HELD", 8)
+        monkeypatch.setattr(bigmath, "_LN_HELD", 64)
+        monkeypatch.setattr(runs, "RUN_BYTES", 1000)
+        monkeypatch.setattr(runs, "RENDER_ROWS", 3)
+        assert self.cold_run(capsys, argv) == default
+        assert len(bigmath._ln_cache) <= 64
 
 
 # Runs main with a spill file that cannot be written: "create" makes the

@@ -1,6 +1,10 @@
 """Factorization pipeline: correctness, radicals, budget discipline."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -104,6 +108,19 @@ class TestPerfectPowers:
             factorize(3 * (HARD_P * HARD_Q) ** 2, budget=10)
         assert exc.value.partial == Factorization(((3, 1),), False)
         assert exc.value.cofactor == (HARD_P * HARD_Q) ** 2
+
+    def test_roots_only_of_an_index_that_can_hold(self, monkeypatch):
+        # A root has no prime factor below 10**4, so it exceeds 10**4, and a
+        # part below 10**(4k) is no k-th power: below 10**12 only a square
+        # root is taken before rho, just above it a cube root too.
+        taken = []
+        root = factor.nth_root_floor
+        monkeypatch.setattr(factor, "nth_root_floor", lambda n, k: taken.append(k) or root(n, k))
+        assert factorize(999983 * 999979).factors == ((999979, 1), (999983, 1))
+        assert taken == [2]
+        taken.clear()
+        assert factorize(1000003 * 1000033).factors == ((1000003, 1), (1000033, 1))
+        assert taken == [2, 3]
 
     @given(
         st.integers(min_value=10 ** 4, max_value=10 ** 12),
@@ -454,11 +471,13 @@ class TestSharedBudget:
 
 
 class TestTwoPrimeRule:
-    """A threshold hunt reads a rough cofactor below 10**12 from one isqrt.
+    """A threshold hunt reads a rough cofactor below 10**15 with no split.
 
-    What trial division leaves has no prime factor below 10**4, so below
-    10**12 it is p, p*q or p**2, and _Trialled.radical takes no
-    Miller-Rabin test and no rho step on it.
+    A cofactor with no prime factor below b that is less than b**3 is 1, p,
+    p*q or p**2.  Trial division leaves no prime below 10**4; the wide
+    blocks take the primes below 10**5 out of a cofactor until it is below
+    the cube of the next block's least prime, so _Trialled.radical takes no
+    Miller-Rabin test and no rho step while what is left is below 10**15.
     """
 
     rough_primes = st.integers(10007, 10 ** 6 - 1).map(lambda v: sympy.prevprime(v + 1))
@@ -468,27 +487,29 @@ class TestTwoPrimeRule:
         raise AssertionError("split stage reached")
 
     @given(
-        st.one_of(
-            rough_primes.map(lambda p: (p,)),
-            rough_primes.map(lambda p: (p, p)),
-            st.tuples(rough_primes, rough_primes).filter(lambda pq: pq[0] != pq[1]),
-        ),
+        st.lists(rough_primes, min_size=1, max_size=3),
         st.tuples(*[st.integers(0, 8)] * 4),
     )
     @example((999983, 999979), (0, 0, 0, 0))  # the largest p*q below 10**12
     @example((10007, 10007), (1, 0, 0, 0))
-    # At least 10**12, so the rule must not read them: p*q*r and p**2*q,
-    # whose isqrt is no root.
+    # Past 10**12, settled once the first wide block takes their primes.
     @example((10007, 10009, 10037), (0, 0, 0, 0))
     @example((10007, 10007, 10009), (0, 1, 0, 1))
+    # The largest p*q below 10**15 with p, q > 10**5: no block divides it.
+    @example((258443, 3869325151), (0, 0, 0, 0))
+    @example((99991, 99991, 1000003), (1, 1, 1, 1))  # left below 10**15 by the last block
+    # No prime below 10**5 and at least 10**15: both must be split.
+    @example((100003, 100019, 100043), (0, 0, 0, 0))
+    @example((100003, 100003, 100019), (2, 0, 0, 0))
     def test_radical_agrees_with_sympy(self, rough, exponents):
-        t = math.prod(rough)
-        k = t * math.prod(p ** e for p, e in zip((2, 3, 5, 7), exponents))
+        k = math.prod(rough) * math.prod(p ** e for p, e in zip((2, 3, 5, 7), exponents))
         expected = math.prod(sympy.primefactors(k))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(factor, "_brent_rho", self.refuse)
             patch.setattr(factor, "is_prime", self.refuse)
-            if t < 10 ** 12:
+            # The blocks divide out every prime below 10**5 that the cube
+            # rule does not already cover.
+            if math.prod(p for p in rough if p > 10 ** 5) < 10 ** 15:
                 assert factor._Trialled((k,), None).radical == expected
             else:
                 with pytest.raises(AssertionError, match="split stage"):
@@ -497,6 +518,45 @@ class TestTwoPrimeRule:
         assert trialled.radical == expected
         # A kept tuple resumes from the held cofactors to the same factors.
         assert factorize_product(trialled) == factorize(k)
+
+    def test_every_wide_block_is_taken(self):
+        # p**2 * 1000003 is read right only once p has left it, and for p
+        # near 10**5 it is at least 10**15.
+        q = 1000003
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factor, "_brent_rho", self.refuse)
+            patch.setattr(factor, "is_prime", self.refuse)
+            for p in [*sympy.primerange(10 ** 4, 10 ** 5)][::40] + [99991]:
+                assert factor._Trialled((p * p * q,), None).radical == p * q, p
+        # Each prime below 10**5 is in one block, and each block's bound is
+        # the cube of the least prime of its window.
+        blocks = factor._WIDE_BLOCKS
+        assert math.prod(product for _, product, _ in blocks) == math.prod(
+            sympy.primerange(10 ** 4, 10 ** 5)
+        )
+        for i, (bound, product, primes) in enumerate(blocks):
+            least = sympy.nextprime(10 ** 4 + i * factor._WIDE_STEP - 1)
+            assert (bound, product % least, primes) == (least ** 3, 0, ())
+
+    @pytest.mark.parametrize("k", [999983 * 999979, 3162277 * 3162283, 258443 * 3869325151])
+    def test_blocks_are_built_up_to_the_cube_root(self, monkeypatch, k):
+        # Each block is built when first reached, and the gcds stop at the
+        # first block whose least prime cubed exceeds what is left.
+        monkeypatch.setattr(factor, "_WIDE_BLOCKS", [])
+        assert factor._Trialled((k,), None).radical == k
+        windows = range(10 ** 4, 10 ** 5, factor._WIDE_STEP)
+        reached = next(
+            (i + 1 for i, lo in enumerate(windows) if sympy.nextprime(lo) ** 3 > k), len(windows)
+        )
+        assert len(factor._WIDE_BLOCKS) == reached
+
+    def test_no_block_is_built_at_import(self):
+        script = "import gainlab.cli, gainlab.factor as f; print(len(f._WIDE_BLOCKS))"
+        env = {**os.environ, "PYTHONPATH": str(Path(factor.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout == "0\n"
 
     def test_components_may_share_primes(self):
         p, q = 10007, 10009

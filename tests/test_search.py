@@ -731,9 +731,10 @@ class TestBudgetPartials:
         assert g.q is None and g.G_a is not None
 
     def test_threshold_keeps_unknown_quality(self):
-        # k = 2x + 1 = 10007 * 10009 * 10037 is at least 10**12, so the
-        # screen must split it, and 10 rho iterations do not.
-        x = (10007 * 10009 * 10037 - 1) // 2
+        # k = 2x + 1 = 100003 * 100019 * 100043 has no prime below 10**5 and
+        # is at least 10**15, so the screen must split it, and 10 rho
+        # iterations do not.
+        x = (100003 * 100019 * 100043 - 1) // 2
         box = derived_box(
             (2, 2), (x, x), (x + 1, x + 1), (1, 1), (1, 1),
             q_threshold=Decimal("100"),
@@ -745,17 +746,21 @@ class TestBudgetPartials:
 
     def test_threshold_drops_a_settled_radical_without_rho(self, monkeypatch):
         # k = HARD_K = 10007 * 10037 is below 10**12: its radical is read
-        # from one isqrt, q < 100 is proven, and no rho iteration is spent,
-        # where a partial report was once kept.
+        # from one isqrt.  k = 10007 * 10009 * 10037 is at least 10**12, and
+        # the first wide block takes its three primes.  Either way q < 100
+        # is proven, and no rho iteration is spent, where a partial report
+        # was once kept.
         def refuse(*args):
             raise AssertionError("rho entered")
 
         monkeypatch.setattr(factor, "_brent_rho", refuse)
-        box = derived_box(
-            (2, 2), (15, 15), (10022, 10022), (1, 1), (1, 1),
-            q_threshold=Decimal("100"),
-        )
-        assert hunt_derived_k(box, budget=10).solutions == ()
+        x = (10007 * 10009 * 10037 - 1) // 2
+        for box in (
+            derived_box((2, 2), (15, 15), (10022, 10022), (1, 1), (1, 1)),
+            derived_box((2, 2), (x, x), (x + 1, x + 1), (1, 1), (1, 1)),
+        ):
+            box = box._replace(q_threshold=Decimal("100"))
+            assert hunt_derived_k(box, budget=10).solutions == ()
 
 
 class TestFactorMemo:
@@ -854,10 +859,11 @@ class TestScreen:
         assert len(result.solutions) == 10
         assert sorted(s.canonical_key() for s in built) == sorted(keys(result))
         assert len(bigmath._ln_cache) < 100
-        # The screen reads a rough cofactor below 10**12 with no primality
-        # test or rho; factoring every k in full took 895 rho calls and
-        # 4,073 primality tests.
-        assert calls == {"_brent_rho": 482, "is_prime": 955}
+        # The screen reads a rough cofactor below 10**15 with no primality
+        # test or rho, once the primes below 10**5 up to its cube root are
+        # out.  Factoring every k in full took 895 rho calls and 4,073
+        # primality tests; reading cofactors below 10**12 only, 482 and 955.
+        assert calls == {"_brent_rho": 114, "is_prime": 242}
 
     def test_screen_rejects_nothing_it_cannot_prove(self):
         s = validate_solution(5, 9, 23, 109, 1, 2)
