@@ -25,29 +25,23 @@ _ZERO = Decimal(0)
 # of the 64 that any log of an integer >= 2 keeps (ln 2 > 0.1).
 LN_SCALE = 80
 
-# Error bound, in units of 10**-LN_SCALE, of each value computed afresh
-# rather than summed from cached logs: one 2*atanh(1/m) series, or one
-# Decimal.ln of a key above _RECURRENCE_LIMIT.
+# Error bound, in units of 10**-LN_SCALE, of each 2*atanh(p/q) series (the
+# one value computed afresh rather than summed from cached logs).
 _LEAF_ERR = 1
 
-# Extra digits the atanh series and the Decimal.ln conversions carry before
-# they are rounded to LN_SCALE digits (see ln_product).
+# Extra digits the atanh series carries before it is rounded to LN_SCALE
+# digits (see ln_product).
 _LEAF_GUARD = 3
 
-# Keys up to this limit are split by factor.factorize, which needs trial
-# division alone there (a cofactor below 10**8 is prime): no rho step and
-# no budget.
-_RECURRENCE_LIMIT = 10 ** 8
-# A fill that finds _ln_cache holding this many logs empties it first.
-_LN_HELD = 1 << 16
+# The log of a key v is read from the log of its top _LN_BITS bits, and
+# only keys below 2**_LN_BITS are stored: the domain bounds the table.
+_LN_BITS = 12
 
 # Logs as (value, err) with |value - ln(key) * 10**LN_SCALE| <= err, keyed
-# by the integers they are logs of: the primes of factored values, the
-# small parameters (y, B, A*B) of the bound formulas, and the primes the
-# p - 1 recurrence reaches from either.  Logs of products are sums of
-# these and are never stored.  The fill is idempotent (pure function of
-# the key), so a dropped log is taken again to the same value, and a fill
-# nested in another is safe: ln_sums keeps the values it has read.
+# by the integers below 2**_LN_BITS they are logs of.  A larger key's log
+# is taken from these again on each read, and a product's is summed from
+# its factors' logs; neither is stored.  The fill is a pure function of the
+# key, so a dropped log is taken again to the same value.
 _ln_cache: dict[int, tuple[int, int]] = {}
 
 
@@ -125,7 +119,7 @@ def nth_root_floor(v: int, n: int) -> int:
 
 
 def ln_cached(v: int) -> tuple[int, int]:
-    """(value, err) with |value - ln(v) * 10**LN_SCALE| <= err, memoized.
+    """(value, err) with |value - ln(v) * 10**LN_SCALE| <= err, memoized below 2**_LN_BITS.
 
     See ln_product for how the pair is built and why the bound holds.
     """
@@ -139,22 +133,22 @@ def ln_cached(v: int) -> tuple[int, int]:
 
 
 def _ln_fill(v: int) -> tuple[int, int]:
-    """Compute, cache and return ln_cached(v) for an integer v >= 1."""
-    if v == 1:
-        result = (0, 0)
-    elif v <= _RECURRENCE_LIMIT:
-        value, err = ln_sums(factor.factorize(v - 1).factors)[:2]
-        result = (value + _two_atanh_inv(2 * v - 1), err + _LEAF_ERR)
+    """Compute and return ln_cached(v) for an integer v >= 1; store it if v < 2**_LN_BITS."""
+    if v < 3:
+        result = (0, 0) if v == 1 else (_two_atanh(1, 3), _LEAF_ERR)
     else:
-        # Decimal converts any int exactly and ln() is correctly rounded;
-        # ln(v) < v.bit_length(), so the result has _LEAF_GUARD digits
-        # below 10**-LN_SCALE.
-        digits = LN_SCALE + _LEAF_GUARD + len(str(v.bit_length()))
-        ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
-        result = (round(Decimal(v).ln(ctx).scaleb(LN_SCALE, ctx)), _LEAF_ERR)
-    if len(_ln_cache) >= _LN_HELD:
-        _ln_cache.clear()
-    _ln_cache[v] = result
+        # v = u*2**a + d with u = v >> a of at most _LN_BITS bits, a >= 1.
+        a = max(1, v.bit_length() - _LN_BITS)
+        u = v >> a
+        d = v - (u << a)
+        two, two_err = ln_cached(2)
+        value, err = ln_cached(u)
+        value, err = a * two + value, a * two_err + err
+        if d:
+            value, err = value + _two_atanh(d, 2 * (u << a) + d), err + _LEAF_ERR
+        result = (value, err)
+    if v < 1 << _LN_BITS:
+        _ln_cache[v] = result
     return result
 
 
@@ -179,14 +173,14 @@ def ln_sums(factors, *parts) -> tuple[int, int, int, int, int]:
     return value, err, r_value, r_err, radical
 
 
-def _two_atanh_inv(m: int) -> int:
-    """2*atanh(1/m) * 10**LN_SCALE within _LEAF_ERR, for odd m >= 3."""
+def _two_atanh(p: int, q: int) -> int:
+    """2*atanh(p/q) * 10**LN_SCALE within _LEAF_ERR, for integers 0 < p <= q/3."""
     guard = 10 ** _LEAF_GUARD
-    m2 = m * m
-    t, total, k = 10 ** LN_SCALE * guard // m, 0, 1
+    p2, q2 = p * p, q * q
+    t, total, k = 10 ** LN_SCALE * guard * p // q, 0, 1
     while t:
         total += t // k
-        t //= m2
+        t = t * p2 // q2
         k += 2
     return (2 * total + guard // 2) // guard
 
@@ -211,32 +205,31 @@ def ln_product(terms) -> Decimal:
 
     Error bounds, in units of 10**-LN_SCALE (S = 10**LN_SCALE).  Each
     cached pair (v, d) has |v - S*ln b| <= d:
-    - A leaf log is within _LEAF_ERR = 1.  The series of 2*atanh(1/m),
-      m = 2p - 1, runs at scale S' = 10**_LEAF_GUARD * S: t_j =
-      floor(S'/m**(2j+1)) comes exactly from t_0 = S' // m by repeated
-      floor division by m*m, and t_j // (2j+1) is the floor of the j-th
-      term, so the J terms taken lose less than J in all; the loop stops
-      at t_J = 0, so the tail is below (1/3)*(9/8) = 3/8.  Doubled, the sum
-      is low by less than 2J + 3/4 <= 175 units of 10**-(LN_SCALE + 3)
-      (3**(2J-1) <= S' gives J <= 87), and rounding to scale S adds at most
-      half a unit: under 0.68 in all.  A key above _RECURRENCE_LIMIT takes
-      Decimal.ln at a precision that leaves _LEAF_GUARD digits below S
-      (error 5e-4), rounded to an integer (error 1/2).
-    - A key 2 <= p <= _RECURRENCE_LIMIT is ln(p - 1) + 2*atanh(1/(2p-1)),
-      exact for every integer p, prime or not, as p/(p-1) = (1 + 1/m)/
-      (1 - 1/m), so no primality test is taken; its bound is the sum of
-      e*d over the factorization of p - 1 plus _LEAF_ERR.  ln 2 is the
-      case p = 2, with ln 1 = 0 exactly.  The error so grows by one unit
-      per atanh in the tree of p - 1 factorizations below p, weighted by
-      the exponents; by induction every bound d is at most its key (e*q
-      summed over a factorization is at most the product of the q**e).
-      Each p - 1 is below 10**8, which factorize splits by trial division
-      alone.
+    - A series 2*atanh(p/q) with r = p/q <= 1/3 is within _LEAF_ERR = 1.
+      It runs at scale S' = 10**_LEAF_GUARD * S, from t_0 = S'*p // q by
+      t_(j+1) = t_j*p*p // (q*q), so t_j is never above T_j = S'*r**(2j+1)
+      and e_j = T_j - t_j obeys e_0 < 1 and e_(j+1) < r*r*e_j + 1: every
+      e_j < 1/(1 - r*r) <= 9/8.  Term j, t_j // (2j+1), is low by less
+      than 1 + e_j/(2j+1), and 3**(2J-1) <= S' bounds the terms taken at
+      J <= 87, so they lose less than 87 + (9/8)*3.3 in all; the loop stops
+      at t_J = 0, so T_J = e_J and the tail is below (9/8)**2/(2J+1).
+      Doubled, the sum is low by less than 184 units of
+      10**-(LN_SCALE + 3), and rounding to scale S adds at most half a
+      unit: under 0.69 in all.
+    - ln 1 = 0 exactly, and ln 2 is 2*atanh(1/3).  Any other key v is
+      u*2**a + d, with a = max(1, bit_length(v) - _LN_BITS), u = v >> a
+      and 0 <= d < 2**a; v/(u*2**a) = (1 + z)/(1 - z) for z = d/(2u*2**a
+      + d), so ln v = a*ln 2 + ln u + 2*atanh(z) exactly, prime or not.
+      Its bound is a*d(2) + d(u), plus _LEAF_ERR when d > 0.  Below
+      2**_LN_BITS, a = 1 and z = 1/(2v - 1) <= 1/5 for odd v, so each of
+      the bit_length(v) - 1 halvings down to 1 adds at most 2.  Above it,
+      u has _LN_BITS bits and z < 2**-_LN_BITS.  Either way d is less than
+      2*bit_length(v).
 
     Here the integer sums V = sum e*v and E = sum e*d give
     |V - S*L| <= E for L = ln(prod b**e).  A term with b >= 2 and e >= 1
-    adds e*(v - d) >= S*ln 2 - 2*10**8 > 10**79 to lo = V - E (d is at most
-    10**8 below the limit and 1 above it), so lo has at least 80 digits.
+    adds e*(v - d) >= S*ln b - 2d > 10**79 to lo = V - E, so lo has at
+    least 80 digits.
     With unit = 10**(digits of lo - LN_PRECISION), lo and hi = V + E are
     rounded half up to multiples of unit; if they agree at q, then S*L lies
     in [(q - 1/2)*unit, (q + 1/2)*unit) and has as many digits as lo, so q
@@ -290,7 +283,7 @@ def ln_big(v: int) -> BigLog:
 
 
 def clear_ln_cache() -> None:
-    """Drop memoized logarithms (memory control for very large sweeps)."""
+    """Drop memoized logarithms, which a fill takes again to the same values."""
     _ln_cache.clear()
 
 
@@ -327,9 +320,3 @@ def display(value: Decimal | None) -> str | None:
     # the same text while r's exponent is <= 0 and adjusted exponent >= -6.
     return str(r) if -6 <= r.adjusted() < DISPLAY_DIGITS else format(r, "f")
 
-
-# factor and this module import each other.  Bound last, as the module and
-# not its function, this works whichever is imported first: factor finds
-# every name it reads from here defined, and the fill reads factor.factorize
-# when it runs, by which time factor is complete.
-from . import factor

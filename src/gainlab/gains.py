@@ -35,7 +35,7 @@ from .bigmath import (
     CTX, LN_PRECISION, display, int_text, ln_exact, ln_power_and_radical, ln_product,
     ln_sums, require_int,
 )
-from .factor import factorize_product
+from .factor import _TRIAL_LIMIT, factorize_product
 
 NON_TRIVIAL = "non_trivial"
 TRIVIAL_X = "trivial_x"
@@ -280,13 +280,13 @@ BOUND_FIELDS = (
 
 @lru_cache(maxsize=None)
 def shared_part(components: tuple[int, ...]) -> tuple | None:
-    """ln_sums of prod(components), its radical last; None if a component is 10**8 or more.
+    """ln_sums of prod(components), its radical last; None unless all are below _TRIAL_LIMIT**2.
 
     Trial division settles smaller components with no rho step, so a part
     is the same under any budget.  The memo empties when _bounds empties
     itself, and a dropped part is taken again to the same value.
     """
-    if max(components) >= 10 ** 8:
+    if max(components) >= _TRIAL_LIMIT ** 2:
         return None
     return ln_sums(factorize_product(components).factors)
 

@@ -70,6 +70,12 @@ def test_package_import_loads_no_submodule():
     assert [name for name in loaded if name.startswith("gainlab.")] == []
 
 
+def test_bigmath_loads_no_other_gainlab_module():
+    # The log fill factors nothing, so bigmath is the root of the import graph.
+    loaded = run_fresh("import sys, gainlab.bigmath; print(*sorted(sys.modules))").split()
+    assert [name for name in loaded if name.startswith("gainlab.")] == ["gainlab.bigmath"]
+
+
 def loaded_after(argv: list) -> list:
     """The modules loaded once cli.main(argv) has run in a fresh interpreter."""
     out = run_fresh(
@@ -131,13 +137,14 @@ def test_traced_caches_exist():
     assert isinstance(factor._cache, dict)
 
 
-def test_every_lru_memo_is_bounded(monkeypatch):
+def test_every_lru_memo_is_bounded():
     # A memo whose key space grows with the box must not grow with it.
     # Found through cache_info(), each under the first name that binds it.
     # gains._bounds has no maxsize and empties itself past gains._HELD keys;
     # gains.shared_part has none either and empties with it (see
     # TestBoundFormulas).  Of the two dict memos, factor._cache holds only
-    # keys below factor._TRIAL_LIMIT, and bigmath._ln_cache is checked below.
+    # keys below factor._TRIAL_LIMIT, and bigmath._ln_cache, checked below,
+    # only keys below 2**bigmath._LN_BITS.
     from gainlab import bigmath
 
     memos = {}
@@ -149,27 +156,22 @@ def test_every_lru_memo_is_bounded(monkeypatch):
     unbounded = [name for memo, name in memos.items() if memo.cache_info().maxsize is None]
     assert unbounded == ["gains.shared_part", "gains._bounds"]
     assert "bigmath._quantum" in memos.values()
-    # A fill that finds the log table full empties it before it stores,
-    # nested fills of p - 1's primes included, and a dropped log is taken
-    # again to the same value.
-    keys = [*range(2, 600), 10 ** 8 + 7, 2 ** 61 - 1]
+    # Keys on both sides of the domain's edge and far past it store no key
+    # at or past the edge, and a dropped log is taken again to the same value.
+    edge = 1 << bigmath._LN_BITS
+    keys = [*range(2, 600), edge - 1, edge, edge + 1, 10 ** 8 + 7, 2 ** 61 - 1]
     bigmath.clear_ln_cache()
     expected = [bigmath.ln_cached(v) for v in keys]
-    assert len(bigmath._ln_cache) > 64
-    monkeypatch.setattr(bigmath, "_LN_HELD", 64)
+    assert max(bigmath._ln_cache) == edge - 1
     bigmath.clear_ln_cache()
-    sizes = []
-    for v, value in zip(keys, expected):
-        assert bigmath.ln_cached(v) == value
-        sizes.append(len(bigmath._ln_cache))
-    # Full at 64, and emptied at least once.
-    assert max(sizes) == 64 and sizes != sorted(sizes)
+    assert [bigmath.ln_cached(v) for v in reversed(keys)] == expected[::-1]
+    assert max(bigmath._ln_cache) == edge - 1
 
 
 def test_traced_names_bind_one_object():
     # The tracer wraps each function by identity, on every module attribute
     # that holds it, so a name bound to another object would go uncounted:
-    # bigmath's log fills call factor.factorize through the factor module.
+    # search calls its own binding of gains.compute_gains.
     modules = [gainlab] + [
         importlib.import_module(f"gainlab.{name}")
         for name in ("bigmath", "factor", "gains", "search", "corpus", "cli")

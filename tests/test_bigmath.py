@@ -208,10 +208,13 @@ REF = Context(prec=100)
 
 
 def within_stated_bound(v: int) -> bool:
-    """ln_cached(v) lies within its stated error bound of a wide Decimal.ln."""
+    """ln_cached(v) lies within its stated error bound of a wide Decimal.ln.
+
+    The bound itself is at most 2*bit_length(v) + 1 (see ln_product).
+    """
     value, err = ln_cached(v)
     reference = Decimal(v).ln(REF).scaleb(LN_SCALE, REF)
-    return abs(REF.subtract(Decimal(value), reference)) <= err
+    return abs(REF.subtract(Decimal(value), reference)) <= err <= 2 * v.bit_length() + 1
 
 
 class TestLnProduct:
@@ -302,10 +305,13 @@ class TestLnProduct:
         assert counted_fallbacks == []
 
 
-# Primes the p - 1 recurrence covers, with the largest one below its limit.
-recurrence_primes = st.integers(min_value=3, max_value=10 ** 8).map(sympy.prevprime)
-# The first primes above the limit, which take Decimal.ln.
-ABOVE_THE_LIMIT = [sympy.nextprime(10 ** 8, i) for i in range(1, 11)]
+# Primes up to 10**8, with the largest one.
+primes_to_10_8 = st.integers(min_value=3, max_value=10 ** 8).map(sympy.prevprime)
+# The first primes above 10**8, far past the stored domain.
+PAST_10_8 = [sympy.nextprime(10 ** 8, i) for i in range(1, 11)]
+# The least key whose log is not stored, and a prime of 1,001 bits.
+DOMAIN = 1 << bigmath._LN_BITS
+PRIME_1001_BITS = sympy.nextprime(2 ** 1000)
 
 
 class TestCachedLogs:
@@ -317,7 +323,7 @@ class TestCachedLogs:
             assert within_stated_bound(p), p
             assert str(ln_product(((p, 1),))) == str(Decimal(p).ln(CTX)), p
 
-    @given(recurrence_primes)
+    @given(primes_to_10_8)
     @example(2)
     @example(3)
     @example(99999989)
@@ -325,46 +331,56 @@ class TestCachedLogs:
         assert within_stated_bound(p)
         assert str(ln_product(((p, 1),))) == str(Decimal(p).ln(CTX))
 
-    @pytest.mark.parametrize("p", ABOVE_THE_LIMIT + [2 ** 61 - 1, HARD_PRIME])
+    @pytest.mark.parametrize(
+        "p", PAST_10_8 + [2 ** 61 - 1, HARD_PRIME, pytest.param(PRIME_1001_BITS, id="p1001")]
+    )
     def test_primes_above_the_recurrence_limit(self, p):
+        # Keys past 2**_LN_BITS: read from their top bits, never stored.
         assert within_stated_bound(p)
         assert str(ln_product(((p, 1),))) == str(Decimal(p).ln(CTX))
 
-    @pytest.mark.parametrize("v", [1, 4, 2 ** 26, 3 ** 16, 10 ** 8, 2 * 49999991, 10 ** 8 + 2])
+    @pytest.mark.parametrize(
+        "v",
+        [1, 4, 2 ** 26, 3 ** 16, 10 ** 8, 2 * 49999991, 10 ** 8 + 2, DOMAIN - 1, DOMAIN, DOMAIN + 1],
+    )
     def test_composite_keys(self, v):
         assert within_stated_bound(v)
         assert str(ln_big(v).value) == str(Decimal(v).ln(CTX))
 
     @given(
         st.dictionaries(
-            recurrence_primes | st.sampled_from(ABOVE_THE_LIMIT),
+            primes_to_10_8 | st.sampled_from(PAST_10_8),
             st.integers(min_value=1, max_value=1000),
             min_size=1,
             max_size=8,
         ).map(lambda d: tuple(sorted(d.items())))
     )
     @example(((2, 1000),))
-    @example(((2, 999), (3, 1000), (5, 997), (99999989, 1000), (ABOVE_THE_LIMIT[0], 1000)))
+    @example(((2, 999), (3, 1000), (5, 997), (99999989, 1000), (PAST_10_8[0], 1000)))
     def test_products_with_repeated_factors(self, terms):
         assert str(ln_product(terms)) == str(exact_ln(terms))
         primes = tuple((p, 1) for p, _ in terms)
         assert str(ln_product(primes)) == str(exact_ln(primes))
 
     @pytest.mark.parametrize("v", [1_000_003, 2 * 49999991, 10 ** 8])
-    def test_each_fill_factors_only_its_key_minus_one(self, monkeypatch, v):
-        # p - 1 is all a fill below the limit factors: a key, prime or not,
-        # takes no primality pass of its own.
-        factored = []
-        direct = factor.factorize
-        monkeypatch.setattr(factor, "factorize", lambda u: factored.append(u) or direct(u))
+    def test_each_fill_makes_no_factor_call(self, monkeypatch, v):
+        # A log is read from the logs of 2 and of v's top _LN_BITS bits,
+        # and only those and the halvings of the top bits are stored.
+        def no_call(*args):
+            raise AssertionError("a log fill called factor")
+
+        for name in ("factorize", "_factorize", "factorize_product", "is_prime"):
+            monkeypatch.setattr(factor, name, no_call)
         clear_ln_cache()
         ln_cached(v)
-        assert sorted(factored) == sorted(key - 1 for key in bigmath._ln_cache)
+        top = v >> (v.bit_length() - bigmath._LN_BITS)
+        assert top in bigmath._ln_cache
+        assert set(bigmath._ln_cache) <= {top >> i for i in range(bigmath._LN_BITS)} | {2}
         assert within_stated_bound(v)
 
     def test_recurrence_spends_no_factor_budget(self, monkeypatch):
-        # Every p - 1 below 10**8 is split by trial division alone: nothing
-        # is memoized and a zero budget is never reached.
+        # Logs are taken from the top bits of their keys, with no factoring:
+        # nothing is memoized and a zero budget is never reached.
         monkeypatch.setenv(BUDGET_ENV_VAR, "0")
         clear_ln_cache()
         before = dict(factor._cache)

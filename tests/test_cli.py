@@ -933,11 +933,11 @@ class TestAllSmallSettings:
         assert gains._bounds.cache_info().currsize > 8 and len(default) > 3000
         assert bool(factor._WIDE_BLOCKS) == (case == "hunt-threshold")
         monkeypatch.setattr(gains, "_HELD", 8)
-        monkeypatch.setattr(bigmath, "_LN_HELD", 64)
+        monkeypatch.setattr(bigmath, "_LN_BITS", 6)
         monkeypatch.setattr(runs, "RUN_BYTES", 1000)
         monkeypatch.setattr(runs, "RENDER_ROWS", 3)
         assert self.cold_run(capsys, argv) == default
-        assert len(bigmath._ln_cache) <= 64
+        assert max(bigmath._ln_cache) < 64
 
 
 # Runs main with a spill file that cannot be written: "create" makes the

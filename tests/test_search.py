@@ -4,6 +4,7 @@ import collections
 import contextlib
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1033,9 +1034,10 @@ class TestLogOracle:
         result = hunt_derived_k(box)
         assert len(result.solutions) > 100
         self.assert_direct_logs_agree(result)
-        # Only primes and the bound formulas' y, B and A*B (all at most 20
-        # here) are cached, so the cache does not grow with the solutions.
-        assert all(sympy.isprime(v) or v <= 20 for v in bigmath._ln_cache)
+        # k reaches 2 * 20**4 here, but only keys below 2**_LN_BITS are
+        # cached, so the cache does not grow with the solutions.
+        assert max(s.k for s, _ in result.solutions) >= 1 << bigmath._LN_BITS
+        assert max(bigmath._ln_cache) < 1 << bigmath._LN_BITS
 
     def test_partial_reports(self):
         # x = 15 derives HARD_K, which a zero budget cannot split.
@@ -1043,6 +1045,97 @@ class TestLogOracle:
         result = hunt_derived_k(box, budget=0)
         assert [g.R is None for _, g in result.solutions] == [False, False, False, True]
         self.assert_direct_logs_agree(result)
+
+
+# 90 digits: 26 below the 64 that a report's logs keep.
+WIDE = Context(prec=90)
+
+
+def reference_report(s, q_max=None) -> dict:
+    """Every GainReport field of s, from sympy.factorint and 90-digit Decimal.ln.
+
+    Shares no memo, log or factorization with gainlab: each log is the
+    90-digit one rounded to CTX's 64 digits, and the bound formulas are
+    restated here.
+    """
+    n, x, y, A, B, k = s
+    C, P = B * y ** n, x * y * A * B * k
+    R = math.prod(sympy.factorint(P))
+    ln_c, ln_p, ln_r, ln_ab = (CTX.plus(Decimal(v).ln(WIDE)) for v in (C, P, R, A * B))
+    with localcontext(CTX):
+        d = (n + 2) + (n - 1) * ln_ab / ln_c
+        strong, ultra = (cap * d / n for cap in (Decimal(2), Decimal("1.5")))
+        return gains.GainReport(
+            C, P, R, ln_c / ln_p, ln_p / ln_r, ln_c / ln_r, n / d, n / d, strong, ultra,
+            None if q_max is None else q_max * d / n, Decimal(n) / 2,
+            "trivial_x" if x == 1 else "non_trivial",
+        )._asdict()
+
+
+def sample_boxes(seed: int, count: int):
+    """count small hunt and fixed-k boxes drawn from random.Random(seed).
+
+    y starts near x, so most boxes hold solutions.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, x, a, b = rng.randint(2, 5), rng.randint(2, 30), rng.randint(1, 4), rng.randint(1, 4)
+        y = max(2, x + rng.randint(-2, 2))
+        ranges = (
+            (n, n + rng.randint(0, 1)), (x, x + rng.randint(0, 8)), (y, y + rng.randint(0, 8)),
+            (a, a + rng.randint(0, 2)), (b, b + rng.randint(0, 2)),
+        )
+        if rng.random() < 0.5:
+            yield derived_box(*ranges, q_threshold=rng.choice([None, Decimal("0.8")]))
+        else:
+            yield fixed_box(*ranges, (1, rng.randint(1, 20000)))
+
+
+# analyze tuples whose k has a prime factor above 10**8, above 2**64
+# (23 times a 66-bit prime), or far above both (a 202-bit prime).
+LARGE_PRIME_TUPLES = [
+    (7, 16, 17, 1, 1, 141903217),
+    (5, 75, 76, 3, 7, 10629537007),
+    (11, 100, 101, 1, 1, 101 ** 11 - 100 ** 11),
+    (2, 3, 2, 65, 2 ** 200, 2 ** 202 - 585),
+]
+
+
+class TestMemoFreeReference:
+    """Every report field equals a reference that shares no memo with gainlab."""
+
+    @staticmethod
+    def assert_reference_agrees(s, g, q_max=None):
+        expected = reference_report(s, q_max)
+        got = g._asdict()
+        assert [f for f in expected if str(got[f]) != str(expected[f])] == [], s
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "small-memos"])
+    def test_sampled_boxes(self, monkeypatch, small):
+        # The boxes run one after another, so each finds the memos as the
+        # earlier ones left them; with small memos they empty often.
+        if small:
+            monkeypatch.setattr(gains, "_HELD", 8)
+            monkeypatch.setattr(bigmath, "_LN_BITS", 6)
+        clear_ln_cache()
+        gains._bounds.cache_clear()
+        gains.shared_part.cache_clear()
+        reports = 0
+        for box in sample_boxes(0, 48):
+            run = enumerate_fixed_k if box.mode == FIXED_K else hunt_derived_k
+            for s, g in run(box).solutions:
+                self.assert_reference_agrees(s, g)
+                reports += 1
+        assert reports > 400
+
+    @pytest.mark.parametrize(
+        "t", LARGE_PRIME_TUPLES, ids=lambda t: f"n{t[0]}-k{t[5].bit_length()}bit"
+    )
+    def test_analyze_tuples_with_large_primes(self, t):
+        s = validate_solution(*t)
+        assert max(sympy.factorint(s.k)) > 10 ** 8
+        q_max = gains.custom_qmax("1.7")
+        self.assert_reference_agrees(s, gains.compute_gains(s, q_max_custom=q_max), q_max.value)
 
 
 class TestProgress:
