@@ -311,12 +311,25 @@ def round_sig(value: Decimal, digits: int = DISPLAY_DIGITS) -> Decimal:
     return value.quantize(_quantum(value.adjusted() - digits + 1), context=CTX)
 
 
-def display(value: Decimal | None) -> str | None:
-    """value as plain decimal text at DISPLAY_DIGITS significant digits; None stays None."""
-    if value is None:
-        return None
-    r = round_sig(value, DISPLAY_DIGITS)
-    # format(r, "f") is plain decimal at any magnitude; the faster str gives
-    # the same text while r's exponent is <= 0 and adjusted exponent >= -6.
-    return str(r) if -6 <= r.adjusted() < DISPLAY_DIGITS else format(r, "f")
+# display rounds with one call of this context, which no caller's context
+# changes, then pads to a fixed-point spec chosen by the adjusted exponent
+# of the unrounded value (so a carry keeps it, as in round_sig).  format
+# only pads there, never rounds: the rounded value has at most the spec's
+# fractional digits.  A bare format(value, spec) would round in the
+# thread's current context.  Values outside the table take round_sig.
+_round_display = Context(prec=DISPLAY_DIGITS, rounding=ROUND_HALF_EVEN).plus
+_DISPLAY_SPECS = {e: f".{DISPLAY_DIGITS - 1 - e}f" for e in range(-DISPLAY_DIGITS, DISPLAY_DIGITS)}
 
+
+def display(value: Decimal | None) -> str | None:
+    """value as plain decimal text at DISPLAY_DIGITS significant digits; None stays None.
+
+    The text is format(round_sig(value), "f"): zero is "0".
+    """
+    if not value:
+        return None if value is None else "0"
+    try:
+        spec = _DISPLAY_SPECS[value.adjusted()]
+    except KeyError:
+        return format(round_sig(value, DISPLAY_DIGITS), "f")
+    return format(_round_display(value), spec)

@@ -27,7 +27,6 @@ import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
 from time import perf_counter
@@ -160,8 +159,15 @@ def parse_args(argv=None) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-# A row value is a str, an int (a count), None, True or False.  In JSON a
-# str is a string and an int a number; these tables give the other three.
+# A row value is exact digit text (a str, or an int), a count (an int),
+# None, True or False.  The columns in _TEXT_COLUMNS always hold exact
+# digit text, which the templates take as it is (quoted in JSON); only the
+# other columns are mapped on each row: None and the bools to words, and
+# in JSON a str to a string and a count to a number.
+_TEXT_COLUMNS = frozenset((
+    "n", "x", "y", "A", "B", "k", "C", "P", "G_a",
+    *(name for name in BOUND_FIELDS if name != "gp_max_custom"),
+))
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
 _CSV_WORDS = {None: "", True: "true", False: "false"}
 
@@ -180,27 +186,30 @@ class _Layout:
 
     def __init__(self, sections: dict, level: int, human: str, human_columns=None):
         columns = tuple(name for names in sections.values() for name in names)
-        doc = {section: dict.fromkeys(names, "%s") for section, names in sections.items()}
-        template = json.dumps(doc, indent=2).replace('"%s"', "%s")
-        self.json = template.replace("\n", "\n" + "  " * level)
+        doc = {
+            section: {name: "%s" if name in _TEXT_COLUMNS else None for name in names}
+            for section, names in sections.items()
+        }
+        template = json.dumps(doc, indent=2).replace(": null", ": %s")
+        pick = itemgetter(*map(columns.index, human_columns)) if human_columns else tuple
+        # fmt -> (template, picker of its cells, words and str template of a mapped cell).
+        self.formats = {
+            "json": (template.replace("\n", "\n" + "  " * level), tuple, _JSON_WORDS, '"%s"'),
+            "csv": (",".join(["%s"] * len(columns)), tuple, _CSV_WORDS, "%s"),
+            "human": (human, pick, _CSV_WORDS, "%s"),
+        }
+        self.mapped = tuple(i for i, name in enumerate(columns) if name not in _TEXT_COLUMNS)
         self.csv_header = ",".join(columns)
-        self.human = human
-        self.pick = itemgetter(*map(columns.index, human_columns)) if human_columns else tuple
 
     def render(self, fmt: str, row: tuple) -> str:
-        # Cells are encoded inline, not by a _csv_cell call each: this runs
-        # once per solution of a search.
-        if fmt == "json":
-            return self.json % tuple([
-                encode_basestring_ascii(v) if type(v) is str
-                else str(v) if type(v) is int else _JSON_WORDS[v]
-                for v in row
-            ])
-        cells = [
-            v if type(v) is str else str(v) if type(v) is int else _CSV_WORDS[v]
-            for v in (row if fmt == "csv" else self.pick(row))
-        ]
-        return ",".join(cells) if fmt == "csv" else self.human % tuple(cells)
+        # Runs once per solution of a search, so only the mapped cells are
+        # looked at, inline rather than by a call each.
+        template, pick, words, quote = self.formats[fmt]
+        cells = [*row]
+        for i in self.mapped:
+            v = cells[i]
+            cells[i] = quote % v if type(v) is str else v if type(v) is int else words[v]
+        return template % pick(cells)
 
     def print_document(self, fmt: str, row: tuple) -> None:
         if fmt == "csv":
@@ -245,16 +254,18 @@ _SEARCH_LAYOUT = _Layout(
 def solution_report(s: Solution, g: GainReport) -> tuple:
     """The per-solution report row: its values in REPORT_SCHEMA column order.
 
-    gp_max_custom is left out when no custom cap was given.
+    n through P are the exact ints.  gp_max_custom is left out when no
+    custom cap was given.
     """
-    axn = s.A * s.x ** s.n
+    n, x, y, A, B, k = s
+    axn = A * x ** n
     return (
-        str(s.n), str(s.x), str(s.y), str(s.A), str(s.B), str(s.k), s.trivial_x,
-        str(g.C), str(g.P), None if g.R is None else str(g.R),
+        n, x, y, A, B, k, s.trivial_x,
+        g.C, g.P, None if g.R is None else str(g.R),
         display(g.G_a), display(g.G_p), display(g.q),
-        *bound_text(s.n, s.A, s.B, s.y, g.gp_max_custom),
-        g.C == axn + s.k,
-        gcd(s.A * s.x, s.B * s.y, s.k) == 1,
+        *bound_text(n, A, B, y, g.gp_max_custom),
+        g.C == axn + k,
+        gcd(A * x, B * y, k) == 1,
         bool(g.C > axn and g.G_a > g.ga_min),
         None if g.q is None else bool(g.q > g.q_min),
     )
@@ -313,7 +324,7 @@ def _run_bounds(args: argparse.Namespace) -> None:
         "bounds": shown + tuple(f"max_admissible_exponent_{name}" for name in caps),
     }
     row = (
-        str(n), str(A), str(B), str(y), None if cap is None else str(cap.value),
+        n, A, B, y, None if cap is None else str(cap.value),
         *bound_text(n, A, B, y, custom),
         *map(_admissible, caps.values()),
     )

@@ -1,10 +1,10 @@
 """Command-line contract: schemas, display strings, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
-import time
-from decimal import Decimal
+from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -171,6 +171,30 @@ class TestAnalyzeJson:
         value = Decimal(coefficient).scaleb(exponent)
         assert display(value) == format(round_sig(value, DISPLAY_DIGITS), "f")
 
+    @pytest.mark.parametrize(
+        "context", [{}, {"rounding": ROUND_HALF_UP}, {"rounding": ROUND_DOWN}, {"prec": 3}]
+    )
+    def test_display_ignores_the_callers_context(self, context):
+        cases = {
+            # Ties at the seventh digit go to the even sixth.
+            "1.234565": "1.23456",
+            "2.0000005": "2.00000",
+            # A carry keeps the exponent of the unrounded value.
+            "9.9999951": "10.00000",
+            "999999.6": "1000000",
+            "0.000999999501": "0.001000000",
+            # Exact short values are padded, never rounded.
+            "1": "1.00000",
+            "1.5": "1.50000",
+            # Past display's table of fixed-point specs.
+            "1.2345675E+7": "12345700",
+            "1.2345675E-8": "0.0000000123457",
+        }
+        with localcontext() as ctx:
+            for name, value in context.items():
+                setattr(ctx, name, value)
+            assert {text: display(Decimal(text)) for text in cases} == cases
+
     def test_exact_integer_round_trip(self, capsys):
         _, doc, _ = run_json(capsys, DEWEGER_ARGS)
         assert int(doc["terms"]["C"]) == 23 * 128 ** 3
@@ -224,7 +248,7 @@ class TestReportRow:
         row = solution_report(s, g)
         assert len(row) == len(columns)
         fields = dict(zip(columns, row))
-        assert fields["k"] == "121" and fields["trivial_x"] is False
+        assert fields["k"] == 121 and fields["trivial_x"] is False
         assert fields["radical_P"] == "53130"
         assert fields["G_p"] == "2.20920"
         assert fields["k1_q_bound"] == "1.50000"
@@ -248,12 +272,14 @@ class TestReportRow:
         expected = tuple(display(fields[name]) for name in REPORT_SCHEMA["bounds"])
         assert gains.bound_text(*key, fields["gp_max_custom"]) == expected
 
-    def test_round_sig_runs_per_solution_and_per_new_key(self, capsys, monkeypatch):
+    def test_display_rounds_per_solution_and_per_new_key(self, capsys, monkeypatch):
         # G_a, G_p and q are rounded for each solution; ga_min (shared by
         # q_min), the two G_p caps and k1_q_bound once for each new
-        # (n, A, B, y), and the memo holds one entry per key.
+        # (n, A, B, y), and the memo holds one entry per key.  display
+        # rounds with one context call each.
         calls = []
-        monkeypatch.setattr(bigmath, "round_sig", lambda v, d: calls.append(v) or round_sig(v, d))
+        rounding = bigmath._round_display
+        monkeypatch.setattr(bigmath, "_round_display", lambda v: calls.append(v) or rounding(v))
         gains._bounds.cache_clear()
         argv = ["hunt", "--n", "2:3", "--x", "2:12", "--y", "2:12", "--A", "1:2", "--B", "1:2"]
         code, out, _ = run_cli(capsys, argv + ["--format", "json"])
@@ -266,6 +292,58 @@ class TestReportRow:
         # Rows rendered from a cleared memo are the rows rendered before.
         gains._bounds.cache_clear()
         assert run_cli(capsys, argv + ["--format", "json"])[1] == out
+
+
+# Invocations whose JSON documents cover every layout: analyze with and
+# without a cap, the search rows of partial reports (None in radical_P,
+# G_p, q and thm5_holds), and bounds with a null count and a 65-digit one.
+LAYOUT_INVOCATIONS = {
+    "analyze-deweger": DEWEGER_ARGS,
+    "analyze-deweger-qmax": DEWEGER_ARGS + ["--qmax", "1.5"],
+    "hunt-partial": GOLDEN_INVOCATIONS["hunt-partial"],
+    "bounds-qmax-0.5": GOLDEN_INVOCATIONS["bounds-qmax-0.5"],
+    "bounds-qmax-9.99e63": [
+        "bounds", "--n", "2", "--A", "1", "--B", "1", "--y", "2", "--qmax", "9.99e63",
+    ],
+}
+
+
+def _encoded(name: str, value):
+    """A row value as JSON takes it: every int but a count is exact digit text."""
+    if type(value) is int and not name.startswith("max_admissible_exponent_"):
+        return str(value)
+    return value
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("name", list(LAYOUT_INVOCATIONS))
+    def test_json_rows_are_the_json_encoders(self, capsys, monkeypatch, name):
+        # Each rendered row, against json.dumps of the same row's values
+        # under the names and sections the row text carries.
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        for key, value in GOLDEN_ENV.get(name, {}).items():
+            monkeypatch.setenv(key, value)
+        rendered, render = [], cli._Layout.render
+
+        def spy(layout, fmt, row):
+            rendered.append((row, render(layout, fmt, row)))
+            return rendered[-1][1]
+
+        monkeypatch.setattr(cli._Layout, "render", spy)
+        code, _, _ = run_cli(capsys, LAYOUT_INVOCATIONS[name] + ["--format", "json"])
+        assert code == EXIT_OK and rendered
+        for row, text in rendered:
+            sections = json.loads(text)
+            names = [(section, column) for section in sections for column in sections[section]]
+            assert len(names) == len(row)
+            doc = {}
+            for (section, column), value in zip(names, row):
+                doc.setdefault(section, {})[column] = _encoded(column, value)
+            last = text.rsplit("\n", 1)[-1]
+            indent = "\n" + last[:len(last) - len(last.lstrip())]
+            assert text == json.dumps(doc, indent=2).replace("\n", indent)
+        if name == "hunt-partial":
+            assert sum(None in row for row, _ in rendered) == 2
 
 
 class TestAnalyzeOtherFormats:
@@ -569,16 +647,20 @@ class TestBounds:
         assert doc["bounds"]["gp_max_strong"] == "4.17520"
         assert doc["bounds"]["gp_max_ultra"] == "3.13140"
 
-    def test_huge_exponent_builds_no_power_of_y(self, capsys):
+    def test_huge_exponent_builds_no_power_of_y(self):
         # D's ln(B*y^n) is n*ln y + ln B from cached logs: 5**(10**50)
-        # could never be built.
-        start = time.perf_counter()
-        code, doc, _ = run_json(
-            capsys, ["bounds", "--n", str(10 ** 50), "--A", "2", "--B", "3", "--y", "5"]
+        # could never be built.  A child with a timeout, so that a power
+        # built by mistake fails the test instead of hanging it.
+        proc = subprocess.run(
+            [sys.executable, "-m", "gainlab", "bounds", "--n", str(10 ** 50),
+             "--A", "2", "--B", "3", "--y", "5", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            timeout=5,
         )
-        assert time.perf_counter() - start < 1
-        assert code == EXIT_OK
-        assert doc["params"]["n"] == str(10 ** 50)
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["params"]["n"] == str(10 ** 50)
 
     def test_cap_too_small_for_any_exponent(self, capsys):
         _, doc, _ = run_json(
